@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from . import __version__
-from .datagen import DatasetSpec, estimate_delta_hat, estimate_delta_tilde, sample_dataset
+from .datagen import DatasetSpec, derived_seed, sample_dataset
 from .diagnostics import (
     budget_functional,
     budget_posterior_independence,
@@ -249,14 +249,14 @@ def _cmd_bridge(cfg, model, out_dir, tag, seed):
         grid = _require(cfg, "delta_grid")
         delta_bar = estimate_contraction_radius(
             conj_prior, data_spec, grid, max(1000, mc["posterior_draws"] // 4),
-            min(mc["replications"], 20), seed=seed,
+            min(mc["replications"], 20), seed=derived_seed(seed, 0),
         )
     dataset = sample_dataset(data_spec)
     conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), mc["posterior_draws"])
     localized = localize_draws(conj, model.sigma_star, delta_bar)
     uniform_prior = UniformVicinityPrior(model.sigma_star, delta_bar)
     uniform = sample_posterior(
-        default_sampler(uniform_prior, dataset, seed=seed + 1), mc["posterior_draws"]
+        default_sampler(uniform_prior, dataset, seed=derived_seed(seed, 1)), mc["posterior_draws"]
     )
     battery = default_statistic_battery()
     report = {
@@ -298,6 +298,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
     elif "selection" in cfg:
         sel_doc = cfg["selection"]
         sel = EigenspaceSelection(int(sel_doc["s_minus"]), int(sel_doc["s_plus"]))
+        truth = model.group_projectors[sel.s_minus - 1 : sel.s_plus].sum(axis=0)
     else:
         raise ConfigError("config: coverage needs a functional or a selection")
     hits = 0
@@ -305,7 +306,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
     for k in range(reps):
         dataset = sample_dataset(data_spec, seed_branch=k)
         draws = sample_posterior(
-            default_sampler(prior, dataset, seed=seed + 7919 * k), draws_per_rep
+            default_sampler(prior, dataset, seed=derived_seed(seed, k)), draws_per_rep
         )
         if functional is not None:
             vals = evaluate_batch(functional, draws.matrices)
@@ -315,9 +316,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
         else:
             stat = posterior_projector_statistic(model, sel, draws, dataset)
             phat = empirical_projector(dataset, model, sel)
-            truth_stat = data_spec.n * float(
-                np.sum((projector_truth(model, sel) - phat) ** 2)
-            )
+            truth_stat = data_spec.n * float(np.sum((truth - phat) ** 2))
             q = float(np.quantile(stat.law.values, level))
             hits += truth_stat <= q
             widths[k] = q
@@ -333,10 +332,6 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
         tuple(notes),
     )
     return {"command": "coverage", **report.to_json_dict()}, []
-
-
-def projector_truth(model, sel) -> np.ndarray:
-    return model.group_projectors[sel.s_minus - 1 : sel.s_plus].sum(axis=0)
 
 
 def _cmd_budget(cfg, model, out_dir, tag, seed):
@@ -428,15 +423,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the experiment JSON")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="suggested BLAS thread count (best effort; set before heavy imports)",
-    )
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -24,6 +24,11 @@ def derived_rng(seed: int, *branch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, branch)]))
 
 
+def derived_seed(seed: int, *branch: int) -> int:
+    """Integer seed for (seed, branch), for callees that take a seed, not a stream."""
+    return int(derived_rng(seed, *branch).integers(2**62))
+
+
 @dataclasses.dataclass(frozen=True)
 class DatasetSpec:
     model: SpectralModel
@@ -132,22 +137,3 @@ def estimate_delta_tilde(
         devs[k] = spectral_norm(proj)
     level = 1.0 - 1.0 / spec.n
     return ConcentrationEstimate(_quantile_order_stat(devs, level), level, replications)
-
-
-def save_dataset_csv(path, dataset: Dataset) -> None:
-    """Write samples as n rows of p comma-separated values."""
-    with open(path, "w") as fh:
-        for row in dataset.samples:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def spec_to_json_dict(spec: DatasetSpec) -> dict:
-    return {
-        "family": spec.family,
-        "n": spec.n,
-        "seed": spec.seed,
-        "model": {
-            "mu": [float(x) for x in spec.model.group_values],
-            "mult": [int(x) for x in spec.model.group_mults],
-        },
-    }

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .datagen import DatasetSpec, derived_rng, sample_dataset
+from .datagen import DatasetSpec, derived_rng, derived_seed, sample_dataset
 from .errors import DegenerateFunctional, DegenerateNormalizer, UndefinedFlatness
 from .posterior import (
     PosteriorDraws,
@@ -131,7 +131,7 @@ def estimate_contraction_radius(
     success = np.zeros(len(delta_grid), dtype=np.int64)
     for k in range(replications):
         dataset = sample_dataset(data_spec, seed_branch=900_000 + k)
-        sampler = default_sampler(prior, dataset, seed=seed + k)
+        sampler = default_sampler(prior, dataset, seed=derived_seed(seed, k))
         draws = sample_posterior(sampler, draws_per_point)
         dev = spectral_norm(draws.matrices - model.sigma_star.entries) / snorm
         mass = np.mean(dev[:, None] <= delta_grid[None, :], axis=0)

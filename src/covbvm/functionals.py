@@ -126,12 +126,7 @@ def functional_from_json(model: SpectralModel, doc: dict) -> FunctionalSpec:
 
 def evaluate(functional: FunctionalSpec, sigma: SpdMatrix | np.ndarray) -> float:
     a = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma)
-    if functional.kind == "eigenvalue_cluster":
-        eigs_desc = np.linalg.eigvalsh(a)[::-1]
-        return float(np.mean(eigs_desc[functional.cluster_block]))
-    if functional.kind == "log_det":
-        return float(np.linalg.slogdet(a)[1])
-    return float(np.sum(functional.phi * a))
+    return float(evaluate_batch(functional, a[None])[0])
 
 
 def evaluate_batch(functional: FunctionalSpec, mats: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 The Gaussian log-likelihood is used regardless of the data family.  With an
 inverse Wishart prior the posterior is conjugate and sampled exactly via the
 Bartlett decomposition; arbitrary density-evaluable priors go through a
-random-walk Metropolis chain on the Cholesky factor, and vicinity-restricted
-posteriors through exact rejection against a dominating conjugate proposal.
+random-walk Metropolis chain on the Cholesky factor.  A uniform prior on a
+vicinity is sampled by exact rejection: draws from the flat-likelihood
+inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
+inside the vicinity.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import Dataset, derived_rng
+from .datagen import Dataset, derived_rng, derived_seed
 from .errors import (
     BadDegreesOfFreedom,
     BadDimension,
     NotPositiveDefinite,
     PoorMixing,
     RejectionStarved,
-    UndefinedFlatness,
 )
 from .spd import SpdMatrix, spectral_norm, sym
 
@@ -64,13 +65,6 @@ class InverseWishartPrior:
         return -0.5 * (2 * p + self.b) * logdet - 0.5 * float(
             np.sum(self.scale.entries * inv)
         )
-
-    def log_density_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Unnormalized log density over a (M, p, p) stack of SPD matrices."""
-        p = self.dim
-        _, logdet = np.linalg.slogdet(mats)
-        trace_term = np.einsum("ij,mji->m", self.scale.entries, np.linalg.inv(mats))
-        return -0.5 * (2 * p + self.b) * logdet - 0.5 * trace_term
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,6 +203,11 @@ class PosteriorSampler:
             self.prior, InverseWishartPrior
         ):
             raise BadDimension("exact conjugate sampling needs an inverse Wishart prior")
+        if isinstance(self.method, RejectionInVicinity) and isinstance(
+            self.prior, GenericPrior
+        ):
+            # no exact envelope exists for an arbitrary density; use Metropolis
+            raise BadDimension("vicinity rejection needs a uniform or inverse Wishart prior")
         if (
             isinstance(self.prior, InverseWishartPrior)
             and self.prior.dim != self.data.dim
@@ -323,99 +322,43 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     )
 
 
-def _rejection_log_cap(sampler: PosteriorSampler, ref: InverseWishartPrior) -> float:
-    """Upper bound for log(prior / reference conjugate prior) over the vicinity."""
-    prior = sampler.prior
-    if isinstance(prior, InverseWishartPrior) and prior == ref:
-        return 0.0
-    center = sampler.data.spec.model.sigma_star if sampler.data.spec else None
-    if isinstance(prior, UniformVicinityPrior):
-        center = prior.center
-        delta = prior.delta
-    else:
-        delta = sampler.method.delta_bar
-    if center is None:
-        raise RejectionStarved("no vicinity center available for the rejection cap")
-    snorm = center.spectral_norm
-    lo = float(center.eigenvalues[0]) - delta * snorm
-    if lo <= 0:
-        raise RejectionStarved("vicinity touches the SPD boundary; cannot bound the envelope")
-    p = center.dim
-    # Weyl: each eigenvalue moves by at most delta * ||center|| inside the
-    # vicinity, so -log ref density <= (2p+b)/2 sum log(mu_i + delta s) + Tr(G)/(2 lo)
-    logdet_hi = float(np.sum(np.log(center.eigenvalues + delta * snorm)))
-    neg_ref = 0.5 * (2 * p + ref.b) * logdet_hi + float(
-        np.trace(ref.scale.entries)
-    ) / (2.0 * lo)
-    if isinstance(prior, UniformVicinityPrior):
-        return neg_ref
-    # generic prior: empirical envelope from a pilot batch, with a safety margin
-    scale, dof = conjugate_posterior_params(ref, sampler.data)
-    pilot = sample_inverse_wishart(scale, dof, 2000, sampler.seed + 104729)
-    ratios = []
-    for s in pilot:
-        try:
-            ratios.append(prior.log_density(s) - ref.log_density(s))
-        except NotPositiveDefinite:
-            continue
-    if not ratios:
-        raise RejectionStarved("pilot batch produced no density-evaluable draws")
-    return float(np.max(ratios)) + math.log(10.0)
-
-
 def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
-    method: RejectionInVicinity = sampler.method
-    prior = sampler.prior
-    ref = (
-        prior
-        if isinstance(prior, InverseWishartPrior)
-        else default_inverse_wishart_prior(sampler.data.dim)
-    )
-    scale, dof = conjugate_posterior_params(ref, sampler.data)
+    """Inverse-Wishart proposals kept when they fall inside the vicinity.
+
+    A uniform-vicinity posterior is the likelihood restricted to the vicinity,
+    and the likelihood alone is IW(nS, n - p - 1); a conjugate prior's
+    proposal is its exact posterior.  Either way every kept draw is exact.
+    """
+    prior, data, method = sampler.prior, sampler.data, sampler.method
     if isinstance(prior, UniformVicinityPrior):
+        if data.n <= 2 * data.dim:
+            raise BadDegreesOfFreedom(
+                f"the flat-likelihood proposal needs n > 2p; got n={data.n}, p={data.dim}"
+            )
+        scale = SpdMatrix(data.n * data.sample_cov.entries)
+        dof = data.n - data.dim - 1.0
         center, delta = prior.center, min(prior.delta, method.delta_bar)
     else:
-        if sampler.data.spec is None:
+        if data.spec is None:
             raise RejectionStarved("vicinity rejection needs a dataset with a model")
-        center, delta = sampler.data.spec.model.sigma_star, method.delta_bar
-    log_cap = _rejection_log_cap(sampler, ref)
-    snorm = center.spectral_norm
-    accepted = []
-    proposed = 0
-    n_acc = 0
-    rng = derived_rng(sampler.seed, 1)
-    batch_id = 0
-    while n_acc < count:
-        batch = min(max(count, _CHUNK), 4 * _CHUNK)
-        draws = sample_inverse_wishart(
-            scale, dof, batch, int(derived_rng(sampler.seed, 2, batch_id).integers(2**62))
-        )
-        batch_id += 1
+        scale, dof = conjugate_posterior_params(prior, data)
+        center, delta = data.spec.model.sigma_star, method.delta_bar
+    kept = []
+    n_kept = proposed = 0
+    while n_kept < count:
+        batch = min(max(count - n_kept, _CHUNK), 4 * _CHUNK)
+        draws = sample_inverse_wishart(scale, dof, batch, derived_seed(sampler.seed, len(kept)))
         proposed += batch
-        dev = spectral_norm(draws - center.entries)
-        candidates = draws[dev <= delta * snorm]
-        if len(candidates):
-            if isinstance(prior, InverseWishartPrior):
-                logw = np.zeros(len(candidates))
-            elif isinstance(prior, UniformVicinityPrior):
-                logw = -ref.log_density_batch(candidates)
-            else:
-                logw = np.array(
-                    [prior.log_density(s) for s in candidates]
-                ) - ref.log_density_batch(candidates)
-            keep = np.log(rng.random(len(candidates)) + 1e-300) < logw - log_cap
-            for s in candidates[keep]:
-                accepted.append(s)
-                n_acc += 1
-                if n_acc == count:
-                    break
-        if proposed >= 20 * _CHUNK and n_acc / proposed < 1e-4:
+        inside = draws[vicinity_mask(draws, center, delta)]
+        kept.append(inside)
+        n_kept += len(inside)
+        if proposed >= 20 * _CHUNK and n_kept / proposed < 1e-4:
             raise RejectionStarved(
-                f"acceptance rate {n_acc / proposed:.2e} below 1e-4 "
+                f"acceptance rate {n_kept / proposed:.2e} below 1e-4 "
                 f"after {proposed} proposals"
             )
     return PosteriorDraws(
-        np.array(accepted), seed_provenance=f"rejection:{sampler.seed}"
+        np.concatenate(kept)[:count], seed_provenance=f"rejection:{sampler.seed}"
     )
 
 
@@ -478,28 +421,3 @@ def localize_draws(
     return PosteriorDraws(
         draws.matrices[mask], draws.warnings, draws.seed_provenance + "|localized"
     )
-
-
-# ---------------------------------------------------------------------------
-# Draw export
-
-
-def draws_to_csv(path, draws: PosteriorDraws) -> None:
-    """One row per draw holding the p(p+1)/2 upper-triangle entries."""
-    p = draws.matrices.shape[1]
-    iu = np.triu_indices(p)
-    with open(path, "w") as fh:
-        for m in draws.matrices:
-            fh.write(",".join(repr(float(x)) for x in m[iu]) + "\n")
-
-
-def draws_from_csv(path, p: int) -> PosteriorDraws:
-    iu = np.triu_indices(p)
-    mats = []
-    with open(path) as fh:
-        for line in fh:
-            vals = np.array([float(x) for x in line.split(",")])
-            m = np.zeros((p, p))
-            m[iu] = vals
-            mats.append(m + m.T - np.diag(np.diag(m)))
-    return PosteriorDraws(np.array(mats), seed_provenance=f"csv:{path}")

@@ -4,7 +4,6 @@ projector statistic, and its chi-square-mixture reference law."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -139,10 +138,6 @@ class ChiSquareMixture:
 
 def mixture_from_gamma(gamma: GammaMatrix) -> ChiSquareMixture:
     return ChiSquareMixture(gamma.diag_weights)
-
-
-def mixture_cdf(mixture: ChiSquareMixture, x, mc_draws: int = 100_000, seed: int = 0):
-    return mixture.cdf(x, mc_draws=mc_draws, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ covariance) is derived from that grouped structure.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 
 import numpy as np
 
 from .errors import BadGrouping, DegenerateGap, NoExteriorGap
-from .spd import SpdMatrix, load_matrix_csv, save_matrix_csv
+from .spd import SpdMatrix
 
 _PROJ_TOL = 1e-10
 
@@ -246,25 +244,3 @@ def build_gamma(model: SpectralModel, sel: EigenspaceSelection) -> GammaMatrix:
             w = 2.0 * mu[s] * mu[k] / diff**2
             weights.append(np.full(mult[s] * mult[k], w))
     return GammaMatrix(sel, np.concatenate(weights))
-
-
-def save_model_json(path, model: SpectralModel, sigma_csv: str | None = None) -> None:
-    """Write the model JSON next to its matrix CSV."""
-    if sigma_csv is None:
-        sigma_csv = os.path.splitext(str(path))[0] + "_sigma.csv"
-    save_matrix_csv(sigma_csv, model.sigma_star)
-    doc = {
-        "mu": [float(x) for x in model.group_values],
-        "mult": [int(x) for x in model.group_mults],
-        "sigma_csv": os.path.basename(sigma_csv),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def load_model_json(path) -> SpectralModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    sigma_csv = os.path.join(os.path.dirname(str(path)), doc["sigma_csv"])
-    sigma = load_matrix_csv(sigma_csv)
-    return spectral_decompose(sigma, mults=doc["mult"])

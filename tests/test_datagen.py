@@ -10,6 +10,7 @@ from covbvm import (
     sample_dataset,
     trace_functional,
 )
+from covbvm.datagen import derived_seed
 from covbvm.spd import spectral_norm
 
 
@@ -57,6 +58,14 @@ class TestSampleDataset:
             dev = spectral_norm(ds.sample_cov.entries - model.sigma_star.entries)
             hits += dev <= 5 * np.sqrt(p / n) * snorm
         assert hits >= 19
+
+
+class TestDerivedSeed:
+    def test_branch_keys_do_not_alias_seed_arithmetic(self):
+        # seed + k made (seed 0, branch 1) and (seed 1, branch 0) one stream
+        assert derived_seed(0, 1) != derived_seed(1, 0)
+        assert derived_seed(0, 1) == derived_seed(0, 1)
+        assert 0 <= derived_seed(0, 1) < 2**62
 
 
 class TestDeltaHat:

@@ -105,15 +105,21 @@ class TestEvaluate:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         mats = np.array([sym(rng.standard_normal((3, 3))) + 5 * np.eye(3) for _ in range(7)])
-        for func in (
-            trace_functional(self.model),
-            entry_functional(self.model, 0, 2),
-            eigenvalue_cluster_functional(self.model, 2),
-            log_det_functional(self.model),
+        # evaluate is evaluate_batch on a one-matrix stack, so the reference
+        # is each functional's closed form, matrix by matrix
+        for func, reference in (
+            (trace_functional(self.model), np.trace),
+            (entry_functional(self.model, 0, 2), lambda m: m[0, 2]),
+            # group 2 holds the two smallest eigenvalues
+            (eigenvalue_cluster_functional(self.model, 2),
+             lambda m: np.mean(np.linalg.eigvalsh(m)[:2])),
+            (log_det_functional(self.model), lambda m: math.log(np.linalg.det(m))),
         ):
             batch = evaluate_batch(func, mats)
             singles = [evaluate(func, m) for m in mats]
-            assert np.allclose(batch, singles, atol=1e-12)
+            expected = [reference(m) for m in mats]
+            assert np.allclose(batch, expected, atol=1e-12)
+            assert np.allclose(singles, expected, atol=1e-12)
 
     def test_cluster_uses_descending_positions(self):
         func = eigenvalue_cluster_functional(self.model, 1)

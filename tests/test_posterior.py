@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from covbvm import (
     DatasetSpec,
     ExactConjugate,
+    GenericPrior,
     Metropolis,
     PosteriorSampler,
+    RejectionInVicinity,
     SpdMatrix,
     UniformVicinityPrior,
     dataset_from_samples,
@@ -23,7 +26,8 @@ from covbvm import (
     tv_distance_over_statistics,
 )
 from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
-from covbvm.posterior import conjugate_posterior_params
+from covbvm.diagnostics import default_statistic_battery
+from covbvm.posterior import conjugate_posterior_params, vicinity_mask
 from covbvm.spd import spectral_norm
 
 
@@ -143,6 +147,48 @@ class TestSamplePosterior:
         draws = sample_posterior(default_sampler(prior, self.ds, 4), 2000)
         dev = spectral_norm(draws.matrices - self.model.sigma_star.entries)
         assert np.all(dev <= 0.3 * self.model.sigma_star.spectral_norm + 1e-12)
+
+    def test_uniform_vicinity_matches_scipy_oracle(self):
+        # the uniform-vicinity posterior is the flat likelihood IW(nS, n - p - 1)
+        # restricted to the vicinity; radius 0.04 keeps about a third of it
+        delta, m = 0.04, 4000
+        prior = UniformVicinityPrior(self.model.sigma_star, delta)
+        draws = sample_posterior(default_sampler(prior, self.ds, 8), m)
+        n, p = self.ds.n, 3
+        flat = stats.invwishart.rvs(
+            df=n - p - 1,
+            scale=n * self.ds.sample_cov.entries,
+            size=3 * m,
+            random_state=np.random.default_rng(9),
+        )
+        oracle = flat[vicinity_mask(flat, self.model.sigma_star, delta)]
+        battery = default_statistic_battery()
+        alpha = 1e-3 / len(battery)
+        # two-sample DKW half-width at level alpha per statistic
+        bound = math.sqrt(math.log(2 / alpha) / 2 * (1 / len(draws) + 1 / len(oracle)))
+        assert len(draws) == m
+        assert np.all(vicinity_mask(draws.matrices, self.model.sigma_star, delta))
+        assert tv_distance_over_statistics(draws, oracle, battery) <= bound
+
+    def test_uniform_vicinity_reaching_spd_boundary(self):
+        # 0.5 * ||Sigma*|| = 1 exceeds the smallest eigenvalue 0.7, so the
+        # vicinity holds matrices that are not SPD; draws must stay in its support
+        prior = UniformVicinityPrior(self.model.sigma_star, 0.5)
+        draws = sample_posterior(default_sampler(prior, self.ds, 10), 2000)
+        dev = spectral_norm(draws.matrices - self.model.sigma_star.entries)
+        assert np.all(dev <= 0.5 * self.model.sigma_star.spectral_norm)
+        assert np.all(np.linalg.eigvalsh(draws.matrices)[:, 0] > 0)
+
+    def test_uniform_vicinity_needs_n_above_2p(self):
+        ds = dataset_with_cov(np.eye(3), 6)
+        prior = UniformVicinityPrior(SpdMatrix(np.eye(3)), 0.5)
+        with pytest.raises(BadDegreesOfFreedom):
+            sample_posterior(default_sampler(prior, ds, 0), 10)
+
+    def test_rejection_refuses_generic_prior(self):
+        prior = GenericPrior(self.prior.log_density)
+        with pytest.raises(BadDimension):
+            PosteriorSampler(prior, self.ds, RejectionInVicinity(0.3), 0)
 
     def test_localized_mass_extremes(self):
         sampler = default_sampler(self.prior, self.ds, 5)

@@ -13,7 +13,6 @@ from covbvm import (
     default_sampler,
     empirical_projector,
     kolmogorov_distance,
-    mixture_cdf,
     mixture_from_gamma,
     model_from_spectrum,
     posterior_projector_statistic,
@@ -121,8 +120,8 @@ class TestChiSquareMixture:
 
     def test_cdf_limits(self):
         mix = ChiSquareMixture([0.5, 2.0, 3.0])
-        assert mixture_cdf(mix, -1.0) == 0.0
-        assert mixture_cdf(mix, 1e6) == pytest.approx(1.0)
+        assert mix.cdf(-1.0) == 0.0
+        assert mix.cdf(1e6) == pytest.approx(1.0)
 
     def test_scaled_equal_weights_match_chi2(self):
         mix = ChiSquareMixture([8.0 / 9.0, 8.0 / 9.0])
