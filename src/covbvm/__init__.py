@@ -71,7 +71,6 @@ from .projectors import (
     ChiSquareMixture,
     ProjectorStatistic,
     empirical_projector,
-    mixture_from_gamma,
     posterior_projector_statistic,
     projector_bvm_check,
 )

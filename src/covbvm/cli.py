@@ -8,7 +8,6 @@ any run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -41,11 +40,7 @@ from .posterior import (
     localize_draws,
     sample_posterior,
 )
-from .projectors import (
-    empirical_projector,
-    posterior_projector_statistic,
-    projector_bvm_check,
-)
+from .projectors import posterior_projector_statistic, projector_bvm_check
 from .spd import SpdMatrix, load_matrix_csv
 from .spectral import EigenspaceSelection, model_from_spectrum, spectral_decompose
 
@@ -60,24 +55,6 @@ COMMANDS = (
 )
 
 SCHEMA_VERSION = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class CoverageReport:
-    nominal_level: float
-    replications: int
-    empirical_coverage: float
-    interval_widths: dict
-    warnings: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nominal_level": self.nominal_level,
-            "replications": self.replications,
-            "empirical_coverage": self.empirical_coverage,
-            "interval_widths": dict(self.interval_widths),
-            "warnings": list(self.warnings),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +92,12 @@ def _build_prior(doc: dict, model):
     )
 
 
-def _build_data_spec(doc: dict, model, seed_override=None) -> DatasetSpec:
+def _build_data_spec(doc: dict, model, seed: int) -> DatasetSpec:
     return DatasetSpec(
         model=model,
         family=doc.get("family", "gaussian"),
         n=int(_require(doc, "n", "config.data")),
-        seed=int(doc.get("seed", seed_override if seed_override is not None else 0)),
+        seed=int(doc.get("seed", seed)),
     )
 
 
@@ -315,23 +292,23 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
             widths[k] = hi - lo
         else:
             stat = posterior_projector_statistic(model, sel, draws, dataset)
-            phat = empirical_projector(dataset, model, sel)
-            truth_stat = data_spec.n * float(np.sum((truth - phat) ** 2))
+            truth_stat = data_spec.n * float(np.sum((truth - stat.empirical_projector) ** 2))
             q = float(np.quantile(stat.law.values, level))
             hits += truth_stat <= q
             widths[k] = q
-    report = CoverageReport(
-        level,
-        reps,
-        hits / reps,
-        {
+    report = {
+        "command": "coverage",
+        "nominal_level": level,
+        "replications": reps,
+        "empirical_coverage": hits / reps,
+        "interval_widths": {
             "mean": float(np.mean(widths)),
             "median": float(np.median(widths)),
             "max": float(np.max(widths)),
         },
-        tuple(notes),
-    )
-    return {"command": "coverage", **report.to_json_dict()}, []
+        "warnings": notes,
+    }
+    return report, []
 
 
 def _cmd_budget(cfg, model, out_dir, tag, seed):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .spd import SpdMatrix, spectral_norm, sym
+from .spd import SpdMatrix, relative_deviation, spectral_norm, sym
 from .spectral import SpectralModel
 
 FAMILIES = ("gaussian", "sub_gaussian_rademacher", "bounded_sphere")
@@ -106,12 +106,10 @@ def estimate_delta_hat(spec: DatasetSpec, replications: int) -> ConcentrationEst
     """Empirical (1 - 1/n)-quantile of the relative spectral deviation of Sigma-hat."""
     if replications < 20:
         raise ValueError("need at least 20 replications")
-    snorm = spec.model.sigma_star.spectral_norm
-    target = spec.model.sigma_star.entries
     devs = np.empty(replications)
     for k in range(replications):
         ds = sample_dataset(spec, seed_branch=k)
-        devs[k] = spectral_norm(ds.sample_cov.entries - target) / snorm
+        devs[k] = relative_deviation(ds.sample_cov.entries, spec.model.sigma_star)
     level = 1.0 - 1.0 / spec.n
     return ConcentrationEstimate(_quantile_order_stat(devs, level), level, replications)
 

@@ -21,7 +21,7 @@ from .posterior import (
     default_sampler,
     sample_posterior,
 )
-from .spd import spectral_norm, sym
+from .spd import relative_deviation, spectral_norm, sym
 from .spectral import EigenspaceSelection, SpectralModel, build_gamma, selection_gap
 
 _MIN_LAW_SIZE = 100
@@ -32,7 +32,6 @@ class EmpiricalLaw:
     """Sorted Monte Carlo sample of a scalar statistic."""
 
     values: np.ndarray
-    seed_provenance: str = ""
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=np.float64))
@@ -67,29 +66,23 @@ def kolmogorov_distance(a: EmpiricalLaw, b) -> float:
     return float(np.max(np.maximum(f - lower, upper - f)))
 
 
-def default_statistic_battery(functional=None) -> dict:
+def default_statistic_battery() -> dict:
     """Scalar pushforwards used for the TV lower bound."""
-    battery = {
+    return {
         "trace": lambda mats: np.trace(mats, axis1=-2, axis2=-1),
         "spectral": lambda mats: spectral_norm(mats),
         "entry_11": lambda mats: mats[..., 0, 0],
     }
-    if functional is not None:
-        phi = functional.phi
-        battery["functional"] = lambda mats: np.einsum("ij,mij->m", phi, mats)
-    return battery
 
 
-def tv_distance_over_statistics(a, b, statistics=None) -> float:
-    """Max Kolmogorov distance over scalar statistics of two draw sets.
+def tv_distance_over_statistics(a, b, statistics: dict | None = None) -> float:
+    """Max Kolmogorov distance over a dict of scalar statistics of two draw sets.
 
     This is a lower bound on the total variation distance between the
     matrix-variate laws; full TV is not estimable from samples.
     """
     if statistics is None:
         statistics = default_statistic_battery()
-    if isinstance(statistics, (list, tuple)):
-        statistics = {f"stat_{i}": s for i, s in enumerate(statistics)}
     if not statistics:
         raise ValueError("need at least one statistic")
     mats_a = a.matrices if isinstance(a, PosteriorDraws) else np.asarray(a)
@@ -126,14 +119,13 @@ def estimate_contraction_radius(
         raise ValueError("need at least 1000 draws per grid point")
     n = data_spec.n
     model = data_spec.model
-    snorm = model.sigma_star.spectral_norm
     level = 1.0 - 1.0 / n
     success = np.zeros(len(delta_grid), dtype=np.int64)
     for k in range(replications):
         dataset = sample_dataset(data_spec, seed_branch=900_000 + k)
         sampler = default_sampler(prior, dataset, seed=derived_seed(seed, k))
         draws = sample_posterior(sampler, draws_per_point)
-        dev = spectral_norm(draws.matrices - model.sigma_star.entries) / snorm
+        dev = relative_deviation(draws.matrices, model.sigma_star)
         mass = np.mean(dev[:, None] <= delta_grid[None, :], axis=0)
         success += mass >= level
     needed = math.ceil(level * replications)

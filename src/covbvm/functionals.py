@@ -53,6 +53,16 @@ def _thin_factors(mat: np.ndarray):
     return w[keep], v[:, keep]
 
 
+def _normalizer(cov: SpdMatrix, phi: np.ndarray):
+    """sqrt(2) ||D||_F, with (D, V) the thin factors of C^1/2 phi C^1/2.
+
+    Returns (normalizer, D, V); C is the covariance the limit is taken at.
+    """
+    half = cov.sqrtm()
+    d, v = _thin_factors(half @ phi @ half)
+    return math.sqrt(2.0) * float(np.sqrt(np.sum(d**2))), d, v
+
+
 def _build(model: SpectralModel, kind: str, phi: np.ndarray, c_phi, block=None):
     phi = sym(np.asarray(phi, dtype=np.float64))
     if phi.shape != (model.dim, model.dim):
@@ -62,9 +72,7 @@ def _build(model: SpectralModel, kind: str, phi: np.ndarray, c_phi, block=None):
     psi, u = _thin_factors(phi)
     if len(psi) == 0:
         raise DegenerateFunctional("linearization matrix is numerically zero")
-    half = model.sigma_star.sqrtm()
-    d, v = _thin_factors(half @ phi @ half)
-    normalizer = math.sqrt(2.0) * float(np.sqrt(np.sum(d**2)))
+    normalizer, d, v = _normalizer(model.sigma_star, phi)
     return FunctionalSpec(
         kind, phi, len(psi), c_phi, u, psi, v, d, normalizer, block
     )
@@ -179,18 +187,12 @@ def standardized_statistic(
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
     norm = functional.normalizer
     if plugin_normalizer:
-        half = data.sample_cov.sqrtm()
-        d, _ = _thin_factors(half @ functional.phi @ half)
-        norm = math.sqrt(2.0) * float(np.sqrt(np.sum(d**2)))
+        norm = _normalizer(data.sample_cov, functional.phi)[0]
     if norm <= 0:
         raise DegenerateFunctional("zero statistic normalizer")
     center = evaluate(functional, data.sample_cov)
     values = math.sqrt(data.n) * (evaluate_batch(functional, mats) - center) / norm
-    return StandardizedStatistic(
-        EmpiricalLaw(values, seed_provenance=getattr(draws, "seed_provenance", "")),
-        norm,
-        functional.kind,
-    )
+    return StandardizedStatistic(EmpiricalLaw(values), norm, functional.kind)
 
 
 def rank_adjusted_pipeline(
@@ -215,9 +217,7 @@ def rank_adjusted_pipeline(
     u = functional.u
     reduced = dataset_from_samples(data.samples @ u)
     xi_star = SpdMatrix(u.T @ data.spec.model.sigma_star.entries @ u)
-    half = xi_star.sqrtm()
-    d, _ = _thin_factors(half @ np.diag(functional.psi) @ half)
-    norm = math.sqrt(2.0) * float(np.sqrt(np.sum(d**2)))
+    norm = _normalizer(xi_star, np.diag(functional.psi))[0]
     if norm <= 0:
         raise DegenerateFunctional("zero rank-adjusted normalizer")
     sampler = default_sampler(low_dim_prior, reduced, seed=seed)
@@ -225,11 +225,7 @@ def rank_adjusted_pipeline(
     center = float(np.sum(np.diag(functional.psi) * np.diag(u.T @ data.sample_cov.entries @ u)))
     stat = np.einsum("i,mii->m", functional.psi, xi_draws.matrices)
     values = math.sqrt(data.n) * (stat - center) / norm
-    return StandardizedStatistic(
-        EmpiricalLaw(values, seed_provenance=xi_draws.seed_provenance),
-        norm,
-        "rank_adjusted:" + functional.kind,
-    )
+    return StandardizedStatistic(EmpiricalLaw(values), norm, "rank_adjusted:" + functional.kind)
 
 
 def reduced_inverse_wishart_prior(

@@ -26,7 +26,7 @@ from .errors import (
     PoorMixing,
     RejectionStarved,
 )
-from .spd import SpdMatrix, spectral_norm, sym
+from .spd import SpdMatrix, relative_deviation, sym
 
 _CHUNK = 4096
 
@@ -69,7 +69,7 @@ class InverseWishartPrior:
 
 @dataclasses.dataclass(frozen=True)
 class UniformVicinityPrior:
-    """Uniform prior on the relative spectral-norm vicinity of a center matrix."""
+    """Uniform prior on the vicinity of a center matrix (see ``spd.relative_deviation``)."""
 
     center: SpdMatrix
     delta: float
@@ -82,12 +82,8 @@ class UniformVicinityPrior:
     def dim(self) -> int:
         return self.center.dim
 
-    def contains(self, sigma: np.ndarray) -> np.ndarray | bool:
-        dev = spectral_norm(sym(sigma - self.center.entries))
-        return dev <= self.delta * self.center.spectral_norm
-
     def log_density(self, sigma: np.ndarray) -> float:
-        return 0.0 if self.contains(sigma) else -math.inf
+        return 0.0 if vicinity_mask(sigma, self.center, self.delta) else -math.inf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,7 +184,7 @@ class Metropolis:
 
 @dataclasses.dataclass(frozen=True)
 class RejectionInVicinity:
-    delta_bar: float
+    pass
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,17 +199,15 @@ class PosteriorSampler:
             self.prior, InverseWishartPrior
         ):
             raise BadDimension("exact conjugate sampling needs an inverse Wishart prior")
-        if isinstance(self.method, RejectionInVicinity) and isinstance(
-            self.prior, GenericPrior
+        if isinstance(self.method, RejectionInVicinity) and not isinstance(
+            self.prior, UniformVicinityPrior
         ):
-            # no exact envelope exists for an arbitrary density; use Metropolis
-            raise BadDimension("vicinity rejection needs a uniform or inverse Wishart prior")
-        if (
-            isinstance(self.prior, InverseWishartPrior)
-            and self.prior.dim != self.data.dim
-        ):
+            # conjugate priors are sampled exactly, generic ones by Metropolis
+            raise BadDimension("vicinity rejection needs a uniform-vicinity prior")
+        prior_dim = getattr(self.prior, "dim", self.data.dim)
+        if prior_dim != self.data.dim:
             raise BadDimension(
-                f"prior dimension {self.prior.dim} != data dimension {self.data.dim}"
+                f"prior dimension {prior_dim} != data dimension {self.data.dim}"
             )
 
 
@@ -221,7 +215,6 @@ class PosteriorSampler:
 class PosteriorDraws:
     matrices: np.ndarray  # (M, p, p)
     warnings: tuple[str, ...] = ()
-    seed_provenance: str = ""
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -237,7 +230,7 @@ def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
     mats = sample_inverse_wishart(scale, dof, count, sampler.seed)
-    return PosteriorDraws(mats, seed_provenance=f"exact_conjugate:{sampler.seed}")
+    return PosteriorDraws(mats)
 
 
 def _chol_theta_to_matrix(theta: np.ndarray, p: int):
@@ -317,39 +310,29 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
         msg = f"Metropolis acceptance rate {rate:.3f} outside [0.05, 0.95]"
         warnings.warn(msg, PoorMixing)
         notes.append(msg)
-    return PosteriorDraws(
-        mats[:kept], tuple(notes), seed_provenance=f"metropolis:{sampler.seed}"
-    )
+    return PosteriorDraws(mats[:kept], tuple(notes))
 
 
 def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
-    """Inverse-Wishart proposals kept when they fall inside the vicinity.
+    """Flat-likelihood proposals kept when they fall inside the vicinity.
 
     A uniform-vicinity posterior is the likelihood restricted to the vicinity,
-    and the likelihood alone is IW(nS, n - p - 1); a conjugate prior's
-    proposal is its exact posterior.  Either way every kept draw is exact.
+    and the likelihood alone is IW(nS, n - p - 1), so every kept draw is exact.
     """
-    prior, data, method = sampler.prior, sampler.data, sampler.method
-    if isinstance(prior, UniformVicinityPrior):
-        if data.n <= 2 * data.dim:
-            raise BadDegreesOfFreedom(
-                f"the flat-likelihood proposal needs n > 2p; got n={data.n}, p={data.dim}"
-            )
-        scale = SpdMatrix(data.n * data.sample_cov.entries)
-        dof = data.n - data.dim - 1.0
-        center, delta = prior.center, min(prior.delta, method.delta_bar)
-    else:
-        if data.spec is None:
-            raise RejectionStarved("vicinity rejection needs a dataset with a model")
-        scale, dof = conjugate_posterior_params(prior, data)
-        center, delta = data.spec.model.sigma_star, method.delta_bar
+    prior, data = sampler.prior, sampler.data
+    if data.n <= 2 * data.dim:
+        raise BadDegreesOfFreedom(
+            f"the flat-likelihood proposal needs n > 2p; got n={data.n}, p={data.dim}"
+        )
+    scale = SpdMatrix(data.n * data.sample_cov.entries)
+    dof = data.n - data.dim - 1.0
     kept = []
     n_kept = proposed = 0
     while n_kept < count:
         batch = min(max(count - n_kept, _CHUNK), 4 * _CHUNK)
         draws = sample_inverse_wishart(scale, dof, batch, derived_seed(sampler.seed, len(kept)))
         proposed += batch
-        inside = draws[vicinity_mask(draws, center, delta)]
+        inside = draws[vicinity_mask(draws, prior.center, prior.delta)]
         kept.append(inside)
         n_kept += len(inside)
         if proposed >= 20 * _CHUNK and n_kept / proposed < 1e-4:
@@ -357,9 +340,7 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
                 f"acceptance rate {n_kept / proposed:.2e} below 1e-4 "
                 f"after {proposed} proposals"
             )
-    return PosteriorDraws(
-        np.concatenate(kept)[:count], seed_provenance=f"rejection:{sampler.seed}"
-    )
+    return PosteriorDraws(np.concatenate(kept)[:count])
 
 
 def sample_posterior(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
@@ -380,7 +361,7 @@ def default_sampler(prior: PriorSpec, data: Dataset, seed: int = 0) -> Posterior
     if isinstance(prior, InverseWishartPrior):
         return PosteriorSampler(prior, data, ExactConjugate(), seed)
     if isinstance(prior, UniformVicinityPrior):
-        return PosteriorSampler(prior, data, RejectionInVicinity(prior.delta), seed)
+        return PosteriorSampler(prior, data, RejectionInVicinity(), seed)
     if isinstance(prior, GenericPrior):
         return PosteriorSampler(prior, data, Metropolis(), seed)
     raise TypeError(f"unknown prior {prior!r}")
@@ -393,9 +374,8 @@ def default_sampler(prior: PriorSpec, data: Dataset, seed: int = 0) -> Posterior
 def vicinity_mask(
     matrices: np.ndarray, center: SpdMatrix, delta_bar: float
 ) -> np.ndarray:
-    """Boolean mask of draws inside the relative spectral-norm vicinity."""
-    dev = spectral_norm(matrices - center.entries)
-    return dev <= delta_bar * center.spectral_norm
+    """Boolean mask of draws inside the vicinity (see :func:`relative_deviation`)."""
+    return relative_deviation(matrices, center) <= delta_bar
 
 
 def localized_posterior_mass(
@@ -406,10 +386,10 @@ def localized_posterior_mass(
         raise ValueError("delta_bar must be nonnegative")
     if sampler.data.spec is None:
         raise BadDimension("localized mass needs a dataset carrying its model")
-    draws = sample_posterior(sampler, count)
-    center = sampler.data.spec.model.sigma_star
     if delta_bar == 0.0:
         return 0.0
+    draws = sample_posterior(sampler, count)
+    center = sampler.data.spec.model.sigma_star
     return float(np.mean(vicinity_mask(draws.matrices, center, delta_bar)))
 
 
@@ -418,6 +398,4 @@ def localize_draws(
 ) -> PosteriorDraws:
     """Restrict draws to the vicinity (the Monte Carlo localized posterior)."""
     mask = vicinity_mask(draws.matrices, center, delta_bar)
-    return PosteriorDraws(
-        draws.matrices[mask], draws.warnings, draws.seed_provenance + "|localized"
-    )
+    return PosteriorDraws(draws.matrices[mask], draws.warnings)

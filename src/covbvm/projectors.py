@@ -15,7 +15,6 @@ from .posterior import PosteriorDraws, PriorSpec, default_sampler, sample_poster
 from .spd import norms
 from .spectral import (
     EigenspaceSelection,
-    GammaMatrix,
     SpectralModel,
     build_gamma,
     selection_gap,
@@ -25,10 +24,16 @@ from .errors import PreconditionWarning
 _DEGENERATE_GAP_FLOOR = 1e-6
 
 
+def _descending_eigen(mats: np.ndarray, index_set: np.ndarray):
+    """Descending eigenvalues of a matrix or stack, and the eigenvector columns
+    at the given descending-order positions."""
+    w, v = np.linalg.eigh(mats)
+    return w[..., ::-1], v[..., ::-1][..., index_set]
+
+
 def projector_from_entries(entries: np.ndarray, index_set: np.ndarray) -> np.ndarray:
     """Projector onto the eigenvectors at the given descending-order positions."""
-    _, vecs = np.linalg.eigh(entries)
-    cols = vecs[:, ::-1][:, index_set]
+    cols = _descending_eigen(entries, index_set)[1]
     return cols @ cols.T
 
 
@@ -57,20 +62,20 @@ def posterior_projector_statistic(
     """Law of n * squared Frobenius distance between posterior and empirical
     projectors over the true index sets.
 
-    Draws whose own spectral gap at the selection boundary falls below 1e-6
-    are kept (the index sets are used verbatim) but counted and reported.
+    With V (p, m) and V-hat the orthonormal eigenvector columns of a draw and
+    of the sample covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2,
+    so no p x p projector is formed per draw.  Draws whose own spectral gap at
+    the selection boundary falls below 1e-6 are kept (the index sets are used
+    verbatim) but counted and reported.
     """
     if n is None:
         n = dataset.n
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
     index_set = sel.index_set(model)
-    phat = empirical_projector(dataset, model, sel)
-    w, v = np.linalg.eigh(mats)
-    vecs_desc = v[:, :, ::-1]
-    eigs_desc = w[:, ::-1]
-    cols = vecs_desc[:, :, index_set]
-    proj = np.einsum("mik,mjk->mij", cols, cols)
-    values = n * np.sum((proj - phat) ** 2, axis=(1, 2))
+    hat = _descending_eigen(dataset.sample_cov.entries, index_set)[1]
+    eigs_desc, cols = _descending_eigen(mats, index_set)
+    overlap = np.sum((hat.T @ cols) ** 2, axis=(1, 2))
+    values = n * (2.0 * len(index_set) - 2.0 * overlap)
     # per-draw exterior gap at the selection boundary
     p = model.dim
     lo_pos, hi_pos = int(index_set[0]), int(index_set[-1])
@@ -80,12 +85,7 @@ def posterior_projector_statistic(
     if hi_pos < p - 1:
         gaps = np.minimum(gaps, eigs_desc[:, hi_pos] - eigs_desc[:, hi_pos + 1])
     near_degenerate = int(np.sum(gaps < _DEGENERATE_GAP_FLOOR))
-    return ProjectorStatistic(
-        sel,
-        EmpiricalLaw(values, seed_provenance=getattr(draws, "seed_provenance", "")),
-        phat,
-        near_degenerate,
-    )
+    return ProjectorStatistic(sel, EmpiricalLaw(values), hat @ hat.T, near_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,6 @@ class ChiSquareMixture:
         return np.searchsorted(ref, x, side="right") / mc_draws
 
 
-def mixture_from_gamma(gamma: GammaMatrix) -> ChiSquareMixture:
-    return ChiSquareMixture(gamma.diag_weights)
-
-
 # ---------------------------------------------------------------------------
 # End-to-end theorem check
 
@@ -150,8 +146,7 @@ class ProjectorBvmReport:
     budget: ErrorBudget
     precondition_ok: bool
     delta_hat: float
-    near_degenerate_count: int
-    statistic: ProjectorStatistic | None = None
+    statistic: ProjectorStatistic
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,7 +154,7 @@ class ProjectorBvmReport:
             "budget": self.budget.to_json_dict(),
             "precondition_ok": self.precondition_ok,
             "delta_hat": self.delta_hat,
-            "near_degenerate_draws": self.near_degenerate_count,
+            "near_degenerate_draws": self.statistic.near_degenerate_count,
         }
 
 
@@ -184,7 +179,7 @@ def projector_bvm_check(
     draws = sample_posterior(sampler, count)
     stat = posterior_projector_statistic(model, sel, draws, dataset)
     gamma = build_gamma(model, sel)
-    mixture = mixture_from_gamma(gamma)
+    mixture = ChiSquareMixture(gamma.diag_weights)
     ks = kolmogorov_distance(
         stat.law, lambda x: mixture.cdf(x, mc_draws=reference_draws, seed=seed)
     )
@@ -208,6 +203,4 @@ def projector_bvm_check(
     budget = budget_projector(
         model, sel, data_spec.n, model.dim, delta_hat, g_norm, l_star_j
     )
-    return ProjectorBvmReport(
-        ks, budget, precondition_ok, delta_hat, stat.near_degenerate_count, stat
-    )
+    return ProjectorBvmReport(ks, budget, precondition_ok, delta_hat, stat)

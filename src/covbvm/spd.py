@@ -97,6 +97,15 @@ def spectral_norm(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(eigs), axis=-1)
 
 
+def relative_deviation(mats: np.ndarray, center: SpdMatrix) -> np.ndarray:
+    """Relative spectral deviation ||A - center|| / ||center|| of a matrix or stack.
+
+    The vicinity of radius delta around a center is the set of symmetric A with
+    relative_deviation(A, center) <= delta.
+    """
+    return spectral_norm(mats - center.entries) / center.spectral_norm
+
+
 def save_matrix_csv(path, m: SpdMatrix | np.ndarray) -> None:
     """Write the matrix CSV format: first line p, then p comma-separated rows."""
     a = m.entries if isinstance(m, SpdMatrix) else np.asarray(m)

@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 
 from covbvm import (
+    ChiSquareMixture,
     DatasetSpec,
     EigenspaceSelection,
     EmpiricalLaw,
@@ -26,7 +27,6 @@ from covbvm import (
     budget_posterior_independence,
     budget_projector,
     build_gamma,
-    conjugate_posterior_params,
     default_inverse_wishart_prior,
     default_sampler,
     entry_functional,
@@ -36,7 +36,6 @@ from covbvm import (
     kolmogorov_distance,
     linearization_residual,
     localize_draws,
-    mixture_from_gamma,
     model_from_spectrum,
     posterior_projector_statistic,
     rank_adjusted_pipeline,
@@ -182,7 +181,7 @@ def test_criterion_05_projector_bvm():
         default_sampler(default_inverse_wishart_prior(p), data, seed=14), m
     )
     stat = posterior_projector_statistic(model, sel, draws, data)
-    mixture = mixture_from_gamma(build_gamma(model, sel))
+    mixture = ChiSquareMixture(build_gamma(model, sel).diag_weights)
     # both limit weights equal 2 * 4 * 1 / (4 - 1)^2
     assert np.allclose(mixture.weights, 8.0 / 9.0)
     ks = kolmogorov_distance(stat.law, lambda x: mixture.cdf(x))

@@ -1,10 +1,10 @@
 import json
-import os
+import warnings
 
 import pytest
 
 from covbvm.cli import config_hash, main, run
-from covbvm.errors import ConfigError
+from covbvm.errors import ConfigError, LowDraws
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -182,6 +182,51 @@ class TestExperimentCommands:
         report = run(cfg)
         assert 0.8 <= report["empirical_coverage"] <= 1.0
         assert report["interval_widths"]["mean"] > 0
+
+    @pytest.mark.parametrize(
+        "target, draws, coverage, widths, notes",
+        [
+            (
+                {"functional": {"kind": "trace"}},
+                50,
+                0.86,
+                {"max": 0.813861643116951, "mean": 0.6269924731996257,
+                 "median": 0.6239550327500263},
+                ["only 50 posterior draws per replication; quantiles unreliable"],
+            ),
+            (
+                {"selection": {"s_minus": 1, "s_plus": 1}},
+                200,
+                0.89,
+                {"max": 46.210470064488355, "mean": 19.668062140616975,
+                 "median": 17.977661512254237},
+                [],
+            ),
+        ],
+    )
+    def test_coverage_report_values(self, tmp_path, target, draws, coverage, widths, notes):
+        # reference figures for this fixed config; the report's keys and
+        # values must not drift
+        cfg = base_config(
+            "coverage",
+            data={"n": 300, "seed": 2},
+            prior={"kind": "inverse_wishart"},
+            monte_carlo={"posterior_draws": draws, "replications": 100},
+            nominal_level=0.9,
+            **target,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowDraws)
+            run(cfg, out_override=str(tmp_path / "out"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report.pop("interval_widths") == pytest.approx(widths, rel=1e-9)
+        assert report == {
+            "command": "coverage",
+            "nominal_level": 0.9,
+            "replications": 100,
+            "empirical_coverage": coverage,
+            "warnings": notes,
+        }
 
     def test_coverage_needs_target(self, tmp_path):
         cfg = base_config(

@@ -6,7 +6,6 @@ import scipy.stats
 
 from covbvm import (
     DatasetSpec,
-    SpdMatrix,
     default_inverse_wishart_prior,
     default_sampler,
     entry_functional,

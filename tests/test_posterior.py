@@ -188,7 +188,20 @@ class TestSamplePosterior:
     def test_rejection_refuses_generic_prior(self):
         prior = GenericPrior(self.prior.log_density)
         with pytest.raises(BadDimension):
-            PosteriorSampler(prior, self.ds, RejectionInVicinity(0.3), 0)
+            PosteriorSampler(prior, self.ds, RejectionInVicinity(), 0)
+
+    def test_prior_dimension_must_match_data(self):
+        # a 2 x 2 vicinity center on 3-dimensional data
+        prior = UniformVicinityPrior(SpdMatrix(np.eye(2)), 0.3)
+        with pytest.raises(BadDimension):
+            default_sampler(prior, self.ds, 0)
+        with pytest.raises(BadDimension):
+            PosteriorSampler(prior, self.ds, Metropolis(), 0)
+
+    def test_rejection_refuses_conjugate_prior(self):
+        # conjugate priors are sampled exactly; rejection takes only uniform priors
+        with pytest.raises(BadDimension):
+            PosteriorSampler(self.prior, self.ds, RejectionInVicinity(), 0)
 
     def test_localized_mass_extremes(self):
         sampler = default_sampler(self.prior, self.ds, 5)

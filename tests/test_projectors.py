@@ -13,7 +13,6 @@ from covbvm import (
     default_sampler,
     empirical_projector,
     kolmogorov_distance,
-    mixture_from_gamma,
     model_from_spectrum,
     posterior_projector_statistic,
     projector_bvm_check,
@@ -84,6 +83,24 @@ class TestProjectorStatistic:
         assert np.allclose(stat.empirical_projector, phat)
         assert np.allclose(phat @ phat, phat, atol=1e-12)
 
+    def test_statistic_matches_explicit_frobenius(self):
+        # middle group of mults [1, 2, 3]: a two-dimensional eigenspace
+        model = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
+        sel = EigenspaceSelection(2, 2)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=9))
+        draws = sample_posterior(
+            default_sampler(default_inverse_wishart_prior(6), data, 10), 300
+        )
+        stat = posterior_projector_statistic(model, sel, draws, data)
+        idx = sel.index_set(model)
+        assert len(idx) == 2
+        phat = projector_from_entries(data.sample_cov.entries, idx)
+        explicit = [
+            data.n * np.sum((projector_from_entries(mat, idx) - phat) ** 2)
+            for mat in draws.matrices
+        ]
+        assert np.allclose(stat.law.values, np.sort(explicit), rtol=1e-9, atol=0)
+
     def test_well_separated_spectrum_has_no_degenerates(self):
         stat = posterior_projector_statistic(
             self.model, self.sel, self.draws, self.data
@@ -94,7 +111,7 @@ class TestProjectorStatistic:
         stat = posterior_projector_statistic(
             self.model, self.sel, self.draws, self.data
         )
-        mixture = mixture_from_gamma(build_gamma(self.model, self.sel))
+        mixture = ChiSquareMixture(build_gamma(self.model, self.sel).diag_weights)
         ks = kolmogorov_distance(stat.law, lambda x: mixture.cdf(x, seed=6))
         assert ks < 0.08
         assert stat.law.values.mean() == pytest.approx(mixture.mean, rel=0.25)
@@ -172,7 +189,7 @@ class TestProjectorBvmCheck:
         assert report.ks_distance < 0.1
         assert report.precondition_ok
         assert report.budget.total > 0
-        assert report.near_degenerate_count == 0
+        assert report.statistic.near_degenerate_count == 0
         doc = report.to_json_dict()
         assert doc["ks"] == report.ks_distance
         assert doc["budget"]["context"] == "projector"

@@ -16,7 +16,7 @@ from covbvm.errors import (
     NoExteriorGap,
     NotPositiveDefinite,
 )
-from covbvm.spd import load_matrix_csv, save_matrix_csv
+from covbvm.spd import load_matrix_csv, relative_deviation, save_matrix_csv
 
 
 def random_spd(p, seed):
@@ -52,6 +52,13 @@ class TestSpdMatrix:
         save_matrix_csv(path, m)
         back = load_matrix_csv(path)
         assert np.array_equal(back.entries, m.entries)
+
+    def test_relative_deviation(self):
+        center = SpdMatrix(np.diag([4.0, 1.0]))
+        # ||A - center|| over ||center|| = 4, for one matrix and for a stack
+        assert relative_deviation(np.diag([4.0, 3.0]), center) == pytest.approx(0.5)
+        stack = np.stack([np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), np.diag([4.0, -3.0])])
+        assert np.allclose(relative_deviation(stack, center), [0.0, 0.5, 1.0])
 
 
 class TestNorms:
