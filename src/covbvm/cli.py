@@ -139,7 +139,7 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     functional = functional_from_json(model, _require(cfg, "functional"))
     dataset = sample_dataset(data_spec)
     draws = sample_posterior(default_sampler(prior, dataset, seed=seed), mc["posterior_draws"])
-    stat = standardized_statistic(functional, draws, dataset, model)
+    stat = standardized_statistic(functional, draws, dataset)
     ks = kolmogorov_distance(stat.law, scipy_stats.norm.cdf)
     csv_path = os.path.join(out_dir, "statistic.csv")
     _write_csv(csv_path, f"standardized_{functional.kind} config={tag}", stat.law.values)

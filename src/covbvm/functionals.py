@@ -175,7 +175,6 @@ def standardized_statistic(
     functional: FunctionalSpec,
     draws: PosteriorDraws | np.ndarray,
     data: Dataset,
-    model: SpectralModel,
     plugin_normalizer: bool = False,
 ) -> StandardizedStatistic:
     """Centered and scaled law of the functional over posterior draws.

@@ -1,9 +1,12 @@
 """Pseudo-posterior sampling for covariance matrices.
 
 The Gaussian log-likelihood is used regardless of the data family.  With an
-inverse Wishart prior the posterior is conjugate and sampled exactly via the
-Bartlett decomposition; arbitrary density-evaluable priors go through a
-random-walk Metropolis chain on the Cholesky factor.  A uniform prior on a
+inverse Wishart prior the posterior is conjugate and sampled exactly: the
+Wishart precision is T T^T with T = L B lower triangular (L the Cholesky factor
+of the inverse scale, B the Bartlett factor), so each draw is X^T X with
+X = T^-1, found by triangular block inversion without forming or inverting the
+full precision.  Arbitrary density-evaluable priors go through a random-walk
+Metropolis chain on the Cholesky factor.  A uniform prior on a
 vicinity is sampled by exact rejection: draws from the flat-likelihood
 inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
 inside the vicinity.
@@ -29,6 +32,8 @@ from .errors import (
 from .spd import SpdMatrix, relative_deviation, sym
 
 _CHUNK = 4096
+# lower-triangular blocks up to this size are inverted by LAPACK directly
+_TRI_LEAF = 8
 
 
 # ---------------------------------------------------------------------------
@@ -125,44 +130,70 @@ def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Inverse Wishart sampling (Bartlett decomposition)
+# Inverse Wishart sampling (Bartlett factor, triangular inverse)
 
 
-def _wishart_bartlett(chol: np.ndarray, dof: float, count: int, rng) -> np.ndarray:
-    """Draws from Wishart(chol @ chol.T, dof) as a (count, p, p) stack."""
-    p = chol.shape[0]
-    a = np.zeros((count, p, p))
-    il, jl = np.tril_indices(p, -1)
-    if len(il):
-        a[:, il, jl] = rng.standard_normal((count, len(il)))
-    df = dof - np.arange(p)
-    idx = np.arange(p)
-    a[:, idx, idx] = np.sqrt(rng.chisquare(df, size=(count, p)))
-    m = np.einsum("ij,cjk->cik", chol, a)
-    return np.einsum("cik,cjk->cij", m, m)
+def _bartlett_factor(df: np.ndarray, count: int, rng) -> np.ndarray:
+    """Lower-triangular B with B B^T ~ Wishart(I, dof), as a (count, p, p) stack.
+
+    ``df[i]`` is dof - i.  The strict lower triangle is standard normal, drawn
+    in ``np.tril_indices`` (row-major) order; the diagonal is sqrt(chi2(df)).
+    """
+    p = len(df)
+    b = np.zeros((count, p, p))
+    z = rng.standard_normal((count, p * (p - 1) // 2))
+    for i in range(1, p):
+        b[:, i, :i] = z[:, i * (i - 1) // 2 : i * (i + 1) // 2]
+    b.reshape(count, p * p)[:, :: p + 1] = np.sqrt(rng.chisquare(df, size=(count, p)))
+    return b
 
 
-def sample_inverse_wishart(
-    scale: SpdMatrix, dof: float, count: int, seed: int, chunk: int = _CHUNK
-) -> np.ndarray:
+def _tril_inv_inplace(t: np.ndarray) -> None:
+    """Invert a (count, p, p) stack of lower-triangular matrices in place.
+
+    2x2 block recursion: the inverse of [[A, 0], [C, D]] is
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  A and D are inverted in their own
+    views first, then C is overwritten by -(D^-1 C) A^-1.
+    """
+    p = t.shape[-1]
+    if p <= _TRI_LEAF:
+        t[...] = np.linalg.inv(t)
+        return
+    h = p // 2
+    _tril_inv_inplace(t[:, :h, :h])
+    _tril_inv_inplace(t[:, h:, h:])
+    lower = t[:, h:, :h]
+    np.matmul(t[:, h:, h:] @ lower, t[:, :h, :h], out=lower)
+    np.negative(lower, out=lower)
+
+
+def sample_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int) -> np.ndarray:
     """i.i.d. draws from the inverse Wishart with the given scale and dof.
 
-    Samples the precision from Wishart(scale^-1, dof) via Bartlett and inverts;
-    output is a symmetrized (count, p, p) stack.
+    The precision W ~ Wishart(scale^-1, dof) is T T^T with T = L B, where L is
+    the Cholesky factor of scale^-1 and B the Bartlett factor, both lower
+    triangular.  So the draw W^-1 = X^T X with X = T^-1, inverted by triangular
+    block recursion; W itself is never formed.  Draws are made in blocks of
+    ``_CHUNK``, which fixes the RNG stream for a seed, and written straight into
+    the exactly symmetric (count, p, p) output.
     """
     p = scale.dim
     if dof <= p - 1:
         raise BadDegreesOfFreedom(f"dof {dof} must exceed p - 1 = {p - 1}")
     if count < 1:
         raise ValueError("count must be positive")
-    inv_scale = scale.inv()
-    chol = np.linalg.cholesky(sym(inv_scale))
+    chol = np.linalg.cholesky(sym(scale.inv()))
+    df = dof - np.arange(p)
     out = np.empty((count, p, p))
     rng = derived_rng(seed)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        w = _wishart_bartlett(chol, dof, stop - start, rng)
-        out[start:stop] = sym(np.linalg.inv(w))
+    for start in range(0, count, _CHUNK):
+        block = out[start : start + _CHUNK]
+        x = chol @ _bartlett_factor(df, len(block), rng)  # T = L B, then X = T^-1
+        _tril_inv_inplace(x)
+        np.matmul(x.swapaxes(1, 2), x, out=block)
+        del x  # before the block-sized copy that the in-place transpose-add makes
+        block += block.swapaxes(1, 2)
+        block *= 0.5
     return out
 
 

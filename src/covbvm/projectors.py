@@ -57,7 +57,6 @@ def posterior_projector_statistic(
     sel: EigenspaceSelection,
     draws: PosteriorDraws | np.ndarray,
     dataset: Dataset,
-    n: int | None = None,
 ) -> ProjectorStatistic:
     """Law of n * squared Frobenius distance between posterior and empirical
     projectors over the true index sets.
@@ -68,14 +67,12 @@ def posterior_projector_statistic(
     the selection boundary falls below 1e-6 are kept (the index sets are used
     verbatim) but counted and reported.
     """
-    if n is None:
-        n = dataset.n
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
     index_set = sel.index_set(model)
     hat = _descending_eigen(dataset.sample_cov.entries, index_set)[1]
     eigs_desc, cols = _descending_eigen(mats, index_set)
     overlap = np.sum((hat.T @ cols) ** 2, axis=(1, 2))
-    values = n * (2.0 * len(index_set) - 2.0 * overlap)
+    values = dataset.n * (2.0 * len(index_set) - 2.0 * overlap)
     # per-draw exterior gap at the selection boundary
     p = model.dim
     lo_pos, hi_pos = int(index_set[0]), int(index_set[-1])

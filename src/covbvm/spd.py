@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -52,18 +53,26 @@ class SpdMatrix:
     def spectral_norm(self) -> float:
         return float(self._eigs[-1])
 
+    @functools.cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only eigenvalues and eigenvectors, computed on first use."""
+        w, v = np.linalg.eigh(self.entries)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
     def sqrtm(self) -> np.ndarray:
         """Symmetric square root."""
-        w, v = np.linalg.eigh(self.entries)
+        w, v = self._eigh
         return (v * np.sqrt(w)) @ v.T
 
     def inv_sqrtm(self) -> np.ndarray:
         """Symmetric inverse square root."""
-        w, v = np.linalg.eigh(self.entries)
+        w, v = self._eigh
         return (v / np.sqrt(w)) @ v.T
 
     def inv(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.entries)
+        w, v = self._eigh
         return (v / w) @ v.T
 
 

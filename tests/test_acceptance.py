@@ -140,7 +140,7 @@ def test_criterion_03_functional_bvm():
     for n in (500, 2000, 8000):
         data = sample_dataset(DatasetSpec(model, "gaussian", n, seed=9))
         draws = sample_posterior(default_sampler(prior, data, seed=n), m)
-        stat = standardized_statistic(func, draws, data, model)
+        stat = standardized_statistic(func, draws, data)
         ks_by_n[n] = kolmogorov_distance(stat.law, scipy.stats.norm.cdf)
     seq = [ks_by_n[n] for n in (500, 2000, 8000)]
     monotone = all(seq[i + 1] <= seq[i] + 0.01 for i in range(2))
@@ -250,7 +250,7 @@ def test_criterion_07_rank_adjusted_pipeline():
         prior = default_inverse_wishart_prior(p)
         func = entry_functional(model, 0, 0)  # rank one
         full = sample_posterior(default_sampler(prior, data, seed=22), m)
-        full_stat = standardized_statistic(func, full, data, model)
+        full_stat = standardized_statistic(func, full, data)
         reduced = rank_adjusted_pipeline(
             func, data, reduced_inverse_wishart_prior(func, prior), m, seed=23
         )

@@ -156,15 +156,15 @@ class TestStandardizedStatistic:
 
     def test_trace_statistic_near_standard_normal(self):
         stat = standardized_statistic(
-            trace_functional(self.model), self.draws, self.data, self.model
+            trace_functional(self.model), self.draws, self.data
         )
         assert kolmogorov_distance(stat.law, scipy.stats.norm.cdf) < 0.05
 
     def test_plugin_normalizer_close_to_oracle(self):
         func = trace_functional(self.model)
-        oracle = standardized_statistic(func, self.draws, self.data, self.model)
+        oracle = standardized_statistic(func, self.draws, self.data)
         plugin = standardized_statistic(
-            func, self.draws, self.data, self.model, plugin_normalizer=True
+            func, self.draws, self.data, plugin_normalizer=True
         )
         assert plugin.normalizer == pytest.approx(oracle.normalizer, rel=0.2)
         assert kolmogorov_distance(plugin.law, scipy.stats.norm.cdf) < 0.07
@@ -209,7 +209,7 @@ class TestRankAdjusted:
     def test_pipeline_matches_full_posterior(self):
         func = linear_functional(self.model, np.diag([1.0, 0.5, 0.0, 0.0, 0.0]))
         full = sample_posterior(default_sampler(self.prior, self.data, seed=10), 20_000)
-        full_stat = standardized_statistic(func, full, self.data, self.model)
+        full_stat = standardized_statistic(func, full, self.data)
         reduced = rank_adjusted_pipeline(
             func, self.data, reduced_inverse_wishart_prior(func, self.prior),
             20_000, seed=11,

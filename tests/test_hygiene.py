@@ -13,6 +13,7 @@ MODULES = sorted(
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
+PACKAGE_MODULES = [path for path in MODULES if path.parent.name == "covbvm"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +38,62 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str, exempt=frozenset()) -> list[str]:
+    """``function.parameter`` for each parameter its function's body never reads.
+
+    Functions named in ``exempt`` are skipped.  A name read by a nested
+    function counts as read by the enclosing one.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name in exempt:
+            continue
+        args = node.args
+        params = [
+            arg.arg
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if arg is not None
+        ]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found.extend(f"{node.name}.{name}" for name in params if name not in used)
+    return sorted(found)
+
+
+def dispatch_commands(source: str) -> set[str]:
+    """Functions listed in a module-level ``_DISPATCH`` dict.
+
+    The CLI calls every command with the same arguments, so a command may
+    ignore some of them.
+    """
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_DISPATCH" for t in node.targets
+        ):
+            return {value.id for value in node.value.values}
+    return set()
+
+
+def test_parameter_checker_finds_unused_names():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g(d):\n"
+        "        return a + d\n"
+        "    return g(c)\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return self\n"
+        "_DISPATCH = {'run': h}\n"
+        "def h(y):\n"
+        "    pass\n"
+    )
+    assert unused_parameters(source) == ["f.args", "f.b", "f.kw", "h.y", "m.x"]
+    assert unused_parameters(source, dispatch_commands(source)) == ["f.args", "f.b", "f.kw", "m.x"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    source = path.read_text()
+    exempt = dispatch_commands(source) if path.name == "cli.py" else set()
+    assert unused_parameters(source, exempt) == []

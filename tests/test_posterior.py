@@ -25,9 +25,10 @@ from covbvm import (
     sample_posterior,
     tv_distance_over_statistics,
 )
+from covbvm.datagen import derived_rng
 from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
 from covbvm.diagnostics import default_statistic_battery
-from covbvm.posterior import conjugate_posterior_params, vicinity_mask
+from covbvm.posterior import _tril_inv_inplace, conjugate_posterior_params, vicinity_mask
 from covbvm.spd import spectral_norm
 
 
@@ -109,6 +110,78 @@ class TestInverseWishart:
         draws = sample_inverse_wishart(SpdMatrix(np.eye(4)), 8.0, 2000, seed=5)
         assert np.all(np.linalg.eigvalsh(draws)[:, 0] > 0)
         assert np.allclose(draws, np.swapaxes(draws, 1, 2))
+
+
+def reference_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int):
+    """Bartlett draws inverted by LAPACK: W = (L B)(L B)^T, then inv(W).
+
+    Consumes the same ``derived_rng(seed)`` stream in blocks of 4096 as
+    ``sample_inverse_wishart``: the strict lower triangle of B in
+    ``np.tril_indices`` order, then its chi-square diagonal.
+    """
+    p = scale.dim
+    chol = np.linalg.cholesky(np.linalg.inv(scale.entries))
+    il, jl = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    rng = derived_rng(seed)
+    blocks = []
+    for start in range(0, count, 4096):
+        m = min(4096, count - start)
+        b = np.zeros((m, p, p))
+        b[:, il, jl] = rng.standard_normal((m, len(il)))
+        b[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(m, p)))
+        t = chol @ b
+        blocks.append(np.linalg.inv(t @ t.swapaxes(1, 2)))
+    return np.concatenate(blocks)
+
+
+class TestInverseWishartKernel:
+    """The triangular Bartlett kernel against LAPACK references."""
+
+    # 5000 draws: one full block of 4096 and a partial one
+    COUNT = 5000
+
+    @pytest.fixture(scope="class", params=[3, 50])
+    def case(self, request):
+        p = request.param
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        return scale, dof, sample_inverse_wishart(scale, dof, self.COUNT, seed=17)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9, 17, 50])
+    def test_triangular_inverse_matches_linalg(self, p):
+        rng = np.random.default_rng(p)
+        t = np.tril(rng.standard_normal((64, p, p)), -1) / math.sqrt(p)
+        t += np.eye(p) * rng.uniform(1.0, 2.0, size=(64, 1, p))
+        ref = np.linalg.inv(t)
+        got = t.copy()
+        _tril_inv_inplace(got)
+        err = np.max(np.abs(got - ref), axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.max(np.abs(ref), axis=(1, 2)))
+
+    def test_matches_lapack_reference(self, case):
+        scale, dof, draws = case
+        ref = reference_inverse_wishart(scale, dof, self.COUNT, seed=17)
+        err = np.max(np.abs(draws - ref), axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.max(np.abs(ref), axis=(1, 2)))
+
+    def test_draws_exactly_symmetric(self, case):
+        draws = case[2]
+        assert np.array_equal(draws, draws.swapaxes(1, 2))
+
+    def test_mean_within_clt_band(self, case):
+        scale, dof, draws = case
+        p, psi = scale.dim, scale.entries
+        a = dof - p
+        mean = psi / (a - 1)
+        # entrywise inverse-Wishart variance (needs dof > p + 3)
+        var = ((a + 1) * psi**2 + (a - 1) * np.outer(np.diag(psi), np.diag(psi))) / (
+            a * (a - 1) ** 2 * (a - 3)
+        )
+        # two-sided, alpha = 1e-4 split over the p(p + 1)/2 distinct entries
+        z = stats.norm.isf(1e-4 / (p * (p + 1)))
+        band = z * np.sqrt(var / self.COUNT)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= band)
 
 
 class TestSamplePosterior:

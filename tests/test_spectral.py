@@ -46,6 +46,14 @@ class TestSpdMatrix:
         assert np.allclose(half @ half, m.entries, atol=1e-10)
         assert np.allclose(m.inv_sqrtm() @ half, np.eye(5), atol=1e-10)
 
+    def test_results_do_not_share_state(self):
+        # the eigendecomposition is cached; what callers get back is their own
+        m = random_spd(4, 2)
+        m.inv()[...] = 0.0
+        m.sqrtm()[...] = 0.0
+        assert np.allclose(m.inv() @ m.entries, np.eye(4), atol=1e-10)
+        assert np.allclose(m.sqrtm() @ m.sqrtm(), m.entries, atol=1e-10)
+
     def test_csv_roundtrip(self, tmp_path):
         m = random_spd(4, 1)
         path = tmp_path / "m.csv"
