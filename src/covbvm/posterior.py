@@ -6,7 +6,13 @@ Wishart precision is T T^T with T = L B lower triangular (L the Cholesky factor
 of the inverse scale, B the Bartlett factor), so each draw is X^T X with
 X = T^-1, found by triangular block inversion without forming or inverting the
 full precision.  Arbitrary density-evaluable priors go through a random-walk
-Metropolis chain on the Cholesky factor.  A uniform prior on a
+Metropolis chain on the Cholesky factor; its theta -> Sigma map and log-Jacobian
+are set up once per chain.  The Gaussian-type densities it evaluates (the
+likelihood and the inverse Wishart prior) factor Sigma = L L^T with LAPACK
+``dpotrf`` and find each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one
+triangular ``dtrtrs`` solve against a cached Cholesky factor F, called directly
+because numpy's ``linalg`` overhead dwarfs the work on small matrices.  A
+uniform prior on a
 vicinity is sampled by exact rejection: draws from the flat-likelihood
 inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
 inside the vicinity.
@@ -20,6 +26,7 @@ import warnings
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .datagen import Dataset, derived_rng, derived_seed
 from .errors import (
@@ -34,6 +41,29 @@ from .spd import SpdMatrix, relative_deviation, sym
 _CHUNK = 4096
 # lower-triangular blocks up to this size are inverted by LAPACK directly
 _TRI_LEAF = 8
+
+
+# ---------------------------------------------------------------------------
+# Factor and solve
+
+
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a, by LAPACK ``dpotrf``; raises off the SPD cone."""
+    chol, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"{what} needs an SPD matrix")
+    return chol
+
+
+def _log_det(chol: np.ndarray) -> float:
+    """log det(L L^T) from the lower Cholesky factor L."""
+    return 2.0 * float(np.log(chol.diagonal()).sum())
+
+
+def _solved_sq_norm(chol: np.ndarray, factor: np.ndarray) -> float:
+    """||L^-1 F||_F^2 for lower-triangular L, by one LAPACK ``dtrtrs`` solve."""
+    x, _ = lapack.dtrtrs(chol, factor, lower=1)
+    return float(np.vdot(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +90,10 @@ class InverseWishartPrior:
 
     def log_density(self, sigma: np.ndarray) -> float:
         """Unnormalized log density; raises if sigma is not SPD."""
-        p = self.dim
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("prior evaluated off the SPD cone") from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        inv = np.linalg.inv(sigma)
-        return -0.5 * (2 * p + self.b) * logdet - 0.5 * float(
-            np.sum(self.scale.entries * inv)
-        )
+        chol = _cholesky(sigma, "the inverse Wishart prior")
+        # Tr(G Sigma^-1) = ||L^-1 G^1/2||_F^2 with G^1/2 the Cholesky factor of G
+        trace_term = _solved_sq_norm(chol, self.scale.cholesky)
+        return -0.5 * (2 * self.dim + self.b) * _log_det(chol) - 0.5 * trace_term
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,15 +142,10 @@ def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
     """Gaussian pseudo-log-likelihood of a covariance matrix given the data."""
     a = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma)
     n, p = data.n, data.dim
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("log-likelihood needs an SPD matrix") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    # Tr(Sigma^-1 S) = || L^-1 S^1/2 ||_F^2; two triangular solves are enough
-    half = np.linalg.solve(chol, data.sample_cov.entries)
-    trace_term = float(np.trace(np.linalg.solve(chol, half.T)))
-    return -0.5 * n * logdet - 0.5 * n * trace_term - 0.5 * n * p * math.log(2 * math.pi)
+    chol = _cholesky(a, "the log-likelihood")
+    # Tr(Sigma^-1 S) = ||L^-1 C||_F^2 with C the Cholesky factor of S
+    trace_term = _solved_sq_norm(chol, data.sample_cov.cholesky)
+    return -0.5 * n * _log_det(chol) - 0.5 * n * trace_term - 0.5 * n * p * math.log(2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +283,50 @@ def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     return PosteriorDraws(mats)
 
 
-def _chol_theta_to_matrix(theta: np.ndarray, p: int):
-    """Map the free lower-triangle/log-diagonal vector to (L, Sigma, log|J|)."""
-    lmat = np.zeros((p, p))
-    il, jl = np.tril_indices(p, -1)
-    lmat[il, jl] = theta[p:]
-    diag = np.exp(theta[:p])
-    lmat[np.arange(p), np.arange(p)] = diag
-    sigma = lmat @ lmat.T
-    # dSigma = 2^p prod L_ii^{p-i+1} dL, plus dL_ii = L_ii dtheta_i
-    powers = p - np.arange(p)  # p, p-1, ..., 1
-    log_jac = p * math.log(2.0) + float(np.sum((powers + 1) * np.log(diag)))
-    return lmat, sigma, log_jac
+class _CholeskyMap:
+    """The chain's coordinates: theta = (log diag L, strict lower triangle of L).
+
+    Sigma = L L^T.  The flat positions of L's diagonal and strict lower
+    triangle (``np.tril_indices`` order) are computed once per chain.
+    """
+
+    def __init__(self, p: int):
+        il, jl = np.tril_indices(p, -1)
+        self.p = p
+        self.diag = np.arange(p) * (p + 1)
+        self.lower = il * p + jl
+        # dSigma = 2^p prod L_ii^{p-i+1} dL and dL_ii = L_ii dtheta_i (i = 1..p),
+        # so log|J| = p log 2 + sum_i (p - i + 2) theta_i
+        self.jac_weights = (p + 1.0) - np.arange(p)
+        self.jac_offset = p * math.log(2.0)
+
+    def theta(self, chol: np.ndarray) -> np.ndarray:
+        flat = chol.reshape(-1)
+        return np.concatenate([np.log(flat[self.diag]), flat[self.lower]])
+
+    def sigma(self, theta: np.ndarray) -> np.ndarray:
+        """A fresh (p, p) Sigma = L L^T."""
+        p = self.p
+        lmat = np.zeros(p * p)
+        lmat[self.lower] = theta[p:]
+        lmat[self.diag] = np.exp(theta[:p])
+        lmat = lmat.reshape(p, p)
+        return lmat @ lmat.T
+
+    def log_jacobian(self, theta: np.ndarray) -> float:
+        """log|det d vech(Sigma) / d theta|."""
+        return self.jac_offset + float(self.jac_weights @ theta[: self.p])
 
 
-def _log_target(theta: np.ndarray, sampler: PosteriorSampler, p: int) -> float:
-    _, sigma, log_jac = _chol_theta_to_matrix(theta, p)
+def _log_target(theta: np.ndarray, sampler: PosteriorSampler, cmap: _CholeskyMap) -> float:
+    sigma = cmap.sigma(theta)
     try:
         lp = sampler.prior.log_density(sigma)
     except NotPositiveDefinite:
         return -math.inf
-    if not np.isfinite(lp):
+    if not math.isfinite(lp):
         return -math.inf
-    return log_likelihood(sigma, sampler.data) + lp + log_jac
+    return log_likelihood(sigma, sampler.data) + lp + cmap.log_jacobian(theta)
 
 
 def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
@@ -294,20 +334,17 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     p = sampler.data.dim
     rng = derived_rng(sampler.seed)
     d = p * (p + 1) // 2
-    chol0 = np.linalg.cholesky(sampler.data.sample_cov.entries)
-    theta = np.concatenate(
-        [np.log(np.diag(chol0)), chol0[np.tril_indices(p, -1)]]
-    )
+    cmap = _CholeskyMap(p)
+    theta = cmap.theta(sampler.data.sample_cov.cholesky)
+    cur_lp = _log_target(theta, sampler, cmap)
     # For a vicinity prior the sample covariance may start outside the support;
     # fall back to the prior center.
-    if not np.isfinite(_log_target(theta, sampler, p)):
-        if isinstance(sampler.prior, UniformVicinityPrior):
-            cc = np.linalg.cholesky(sampler.prior.center.entries)
-            theta = np.concatenate([np.log(np.diag(cc)), cc[np.tril_indices(p, -1)]])
-        if not np.isfinite(_log_target(theta, sampler, p)):
-            raise RejectionStarved("no valid Metropolis starting point")
+    if not math.isfinite(cur_lp) and isinstance(sampler.prior, UniformVicinityPrior):
+        theta = cmap.theta(sampler.prior.center.cholesky)
+        cur_lp = _log_target(theta, sampler, cmap)
+    if not math.isfinite(cur_lp):
+        raise RejectionStarved("no valid Metropolis starting point")
     step = method.step_scale
-    cur_lp = _log_target(theta, sampler, p)
     total = method.burn_in + count * method.thin
     accepted_post = 0
     proposals_post = 0
@@ -317,7 +354,7 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     kept = 0
     for it in range(total):
         prop = theta + step * rng.standard_normal(d)
-        prop_lp = _log_target(prop, sampler, p)
+        prop_lp = _log_target(prop, sampler, cmap)
         accept = math.log(rng.random()) < prop_lp - cur_lp
         if accept:
             theta, cur_lp = prop, prop_lp
@@ -332,8 +369,7 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
             proposals_post += 1
             accepted_post += accept
             if (it - method.burn_in + 1) % method.thin == 0 and kept < count:
-                _, sigma, _ = _chol_theta_to_matrix(theta, p)
-                mats[kept] = sym(sigma)
+                mats[kept] = sym(cmap.sigma(theta))
                 kept += 1
     notes = []
     rate = accepted_post / max(proposals_post, 1)

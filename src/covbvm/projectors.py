@@ -61,20 +61,24 @@ def posterior_projector_statistic(
     """Law of n * squared Frobenius distance between posterior and empirical
     projectors over the true index sets.
 
-    With V (p, m) and V-hat the orthonormal eigenvector columns of a draw and
-    of the sample covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2,
-    so no p x p projector is formed per draw.  Draws whose own spectral gap at
-    the selection boundary falls below 1e-6 are kept (the index sets are used
+    With V (p, m) the orthonormal eigenvector columns of a draw, and V-hat and
+    V-hat_perp the selected and the remaining eigenvector columns of the sample
+    covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2
+    = 2||V-hat_perp^T V||_F^2, twice the sum of squared sines of the principal
+    angles.  The last form has no cancellation, so a draw sharing the sample
+    covariance's eigenvectors gives 0 up to squared rounding, and no p x p
+    projector is formed per draw.  Draws whose own spectral gap at the
+    selection boundary falls below 1e-6 are kept (the index sets are used
     verbatim) but counted and reported.
     """
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
     index_set = sel.index_set(model)
-    hat = _descending_eigen(dataset.sample_cov.entries, index_set)[1]
-    eigs_desc, cols = _descending_eigen(mats, index_set)
-    overlap = np.sum((hat.T @ cols) ** 2, axis=(1, 2))
-    values = dataset.n * (2.0 * len(index_set) - 2.0 * overlap)
-    # per-draw exterior gap at the selection boundary
     p = model.dim
+    vecs = _descending_eigen(dataset.sample_cov.entries, np.arange(p))[1]
+    hat, hat_perp = vecs[:, index_set], np.delete(vecs, index_set, axis=1)
+    eigs_desc, cols = _descending_eigen(mats, index_set)
+    values = 2.0 * dataset.n * np.sum((hat_perp.T @ cols) ** 2, axis=(1, 2))
+    # per-draw exterior gap at the selection boundary
     lo_pos, hi_pos = int(index_set[0]), int(index_set[-1])
     gaps = np.full(len(mats), np.inf)
     if lo_pos > 0:

@@ -61,6 +61,16 @@ class SpdMatrix:
         v.setflags(write=False)
         return w, v
 
+    @functools.cached_property
+    def cholesky(self) -> np.ndarray:
+        """Read-only lower Cholesky factor, computed on first use."""
+        try:
+            chol = np.linalg.cholesky(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("Cholesky factorization failed") from exc
+        chol.setflags(write=False)
+        return chol
+
     def sqrtm(self) -> np.ndarray:
         """Symmetric square root."""
         w, v = self._eigh

@@ -8,6 +8,7 @@ from covbvm import (
     DatasetSpec,
     ExactConjugate,
     GenericPrior,
+    InverseWishartPrior,
     Metropolis,
     PosteriorSampler,
     RejectionInVicinity,
@@ -28,7 +29,13 @@ from covbvm import (
 from covbvm.datagen import derived_rng
 from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
 from covbvm.diagnostics import default_statistic_battery
-from covbvm.posterior import _tril_inv_inplace, conjugate_posterior_params, vicinity_mask
+from covbvm.posterior import (
+    _CholeskyMap,
+    _log_target,
+    _tril_inv_inplace,
+    conjugate_posterior_params,
+    vicinity_mask,
+)
 from covbvm.spd import spectral_norm
 
 
@@ -70,6 +77,35 @@ class TestLogLikelihood:
         ds = dataset_with_cov(np.eye(2), 4)
         with pytest.raises(NotPositiveDefinite):
             log_likelihood(np.diag([1.0, -1.0]), ds)
+
+    @pytest.mark.parametrize("p", [3, 20])
+    def test_matches_scipy_multivariate_normal(self, p):
+        rng = np.random.default_rng(p)
+        ds = dataset_from_samples(rng.standard_normal((5 * p, p)))
+        a = rng.standard_normal((p, p))
+        sigma = a @ a.T / p + 0.5 * np.eye(p)
+        expect = np.sum(stats.multivariate_normal.logpdf(ds.samples, cov=sigma))
+        assert log_likelihood(sigma, ds) == pytest.approx(expect, rel=1e-10)
+
+
+class TestInverseWishartPrior:
+    def test_density_differences_match_scipy(self):
+        p = 3
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((p, p))
+        prior = InverseWishartPrior(SpdMatrix(g @ g.T + np.eye(p)), b=3.0)
+        oracle = stats.invwishart(df=prior.dof(), scale=prior.scale.entries)
+        base = np.diag([2.0, 1.0, 0.5])
+        for _ in range(5):
+            h = rng.standard_normal((p, p))
+            other = h @ h.T + 0.1 * np.eye(p)
+            got = prior.log_density(other) - prior.log_density(base)
+            expect = oracle.logpdf(other) - oracle.logpdf(base)
+            assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_rejects_non_spd(self):
+        with pytest.raises(NotPositiveDefinite):
+            default_inverse_wishart_prior(3).log_density(np.diag([1.0, -1.0, 1.0]))
 
 
 class TestInverseWishart:
@@ -215,6 +251,17 @@ class TestSamplePosterior:
         )
         assert tv_distance_over_statistics(exact, mh) <= 0.03
 
+    def test_metropolis_falls_back_to_vicinity_center(self):
+        # the sample covariance lies outside a vicinity around 2 Sigma*
+        center = SpdMatrix(2.0 * self.model.sigma_star.entries)
+        prior = UniformVicinityPrior(center, 0.2)
+        assert not vicinity_mask(self.ds.sample_cov.entries, center, 0.2)
+        draws = sample_posterior(
+            PosteriorSampler(prior, self.ds, Metropolis(burn_in=1000, thin=2), 4), 200
+        )
+        assert len(draws) == 200
+        assert np.all(vicinity_mask(draws.matrices, center, 0.2))
+
     def test_uniform_vicinity_support(self):
         prior = UniformVicinityPrior(self.model.sigma_star, 0.3)
         draws = sample_posterior(default_sampler(prior, self.ds, 4), 2000)
@@ -304,3 +351,64 @@ class TestSamplePosterior:
         assert np.allclose(
             scale.entries, self.ds.n * self.ds.sample_cov.entries + 0.01 * np.eye(3)
         )
+
+
+class TestMetropolisChain:
+    def setup_method(self):
+        model = model_from_spectrum([2.0, 1.0, 0.7], [1, 1, 1], rotation_seed=7)
+        self.ds = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=12))
+        self.prior = default_inverse_wishart_prior(3)
+        self.theta = np.random.default_rng(5).normal(scale=0.5, size=6)
+
+    def test_log_jacobian_matches_finite_differences(self):
+        p, d, h = 3, 6, 1e-6
+        cmap = _CholeskyMap(p)
+        rows, cols = np.tril_indices(p)
+
+        def vech(theta):
+            return cmap.sigma(theta)[rows, cols]
+
+        jac = np.empty((d, d))
+        for k in range(d):
+            step = np.zeros(d)
+            step[k] = h
+            jac[:, k] = (vech(self.theta + step) - vech(self.theta - step)) / (2 * h)
+        log_abs_det = np.linalg.slogdet(jac)[1]
+        assert cmap.log_jacobian(self.theta) == pytest.approx(log_abs_det, abs=1e-6)
+
+    def test_log_target_is_likelihood_prior_and_jacobian(self):
+        p = 3
+        lmat = np.diag(np.exp(self.theta[:p]))
+        lmat[np.tril_indices(p, -1)] = self.theta[p:]
+        sigma = lmat @ lmat.T
+        # dSigma = 2^p prod_i L_ii^(p - i + 1) dL, and dL_ii = L_ii dtheta_i
+        log_jac = p * math.log(2.0) + sum(
+            (p - i + 1) * math.log(lmat[i - 1, i - 1]) + math.log(lmat[i - 1, i - 1])
+            for i in range(1, p + 1)
+        )
+        expect = log_likelihood(sigma, self.ds) + self.prior.log_density(sigma) + log_jac
+        sampler = PosteriorSampler(self.prior, self.ds, Metropolis(), 0)
+        got = _log_target(self.theta, sampler, _CholeskyMap(p))
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_rerun_is_byte_identical(self):
+        sampler = PosteriorSampler(
+            GenericPrior(self.prior.log_density), self.ds, Metropolis(burn_in=1000, thin=2), 9
+        )
+        first = sample_posterior(sampler, 300).matrices
+        assert first.tobytes() == sample_posterior(sampler, 300).matrices.tobytes()
+
+    def test_one_evaluation_per_step_on_fresh_matrices(self):
+        # a generic prior may keep what it is given: each evaluation gets its
+        # own matrix, and the start point is evaluated once
+        seen = []
+
+        def log_density(sigma):
+            seen.append((sigma, sigma.copy()))
+            return self.prior.log_density(sigma)
+
+        method = Metropolis(burn_in=1000, thin=2)
+        sample_posterior(PosteriorSampler(GenericPrior(log_density), self.ds, method, 1), 50)
+        assert len(seen) == method.burn_in + 50 * method.thin + 1
+        assert all(np.array_equal(kept, copy) for kept, copy in seen)
+        assert len({id(kept) for kept, _ in seen}) == len(seen)

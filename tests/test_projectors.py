@@ -101,6 +101,17 @@ class TestProjectorStatistic:
         ]
         assert np.allclose(stat.law.values, np.sort(explicit), rtol=1e-9, atol=0)
 
+    def test_draws_sharing_sample_eigenvectors_give_zero(self):
+        # S and its positive multiples share S's eigenvectors: every principal
+        # angle is zero, and the statistic is 0 up to squared rounding
+        model = model_from_spectrum([4.0, 2.0, 1.0], [2, 6, 12], rotation_seed=8)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 5000, seed=9))
+        scales = [1.0, 1.0 + 2.0**-52, 2.0, *np.geomspace(0.25, 4.0, 97)]
+        draws = np.stack([c * data.sample_cov.entries for c in scales])
+        for sel in (EigenspaceSelection(1, 1), EigenspaceSelection(2, 2)):
+            stat = posterior_projector_statistic(model, sel, draws, data)
+            assert np.all(stat.law.values <= 1e-20)
+
     def test_well_separated_spectrum_has_no_degenerates(self):
         stat = posterior_projector_statistic(
             self.model, self.sel, self.draws, self.data
