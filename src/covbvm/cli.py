@@ -16,7 +16,7 @@ import sys
 import warnings
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr
 
 from . import __version__
 from .datagen import DatasetSpec, derived_seed, sample_dataset
@@ -106,8 +106,15 @@ def _monte_carlo(cfg: dict) -> dict:
     return {
         "posterior_draws": int(mc.get("posterior_draws", 10_000)),
         "replications": int(mc.get("replications", 100)),
-        "reference_draws": int(mc.get("reference_draws", 100_000)),
     }
+
+
+def _ks_resolution(draws: int) -> float:
+    """DKW half-width sqrt(log(2/alpha) / (2M)) at alpha = 0.05: the KS distance
+    of M i.i.d. draws to their own law exceeds it with probability at most
+    alpha.  The reference laws are exact, so the posterior draws are the only
+    Monte Carlo source in a reported KS."""
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * draws))
 
 
 def config_hash(cfg: dict) -> str:
@@ -140,12 +147,13 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     dataset = sample_dataset(data_spec)
     draws = sample_posterior(default_sampler(prior, dataset, seed=seed), mc["posterior_draws"])
     stat = standardized_statistic(functional, draws, dataset)
-    ks = kolmogorov_distance(stat.law, scipy_stats.norm.cdf)
+    ks = kolmogorov_distance(stat.law, ndtr)
     csv_path = os.path.join(out_dir, "statistic.csv")
     _write_csv(csv_path, f"standardized_{functional.kind} config={tag}", stat.law.values)
     report = {
         "command": "bvm-functional",
         "ks": ks,
+        "ks_resolution": _ks_resolution(len(stat.law)),
         "n": data_spec.n,
         "posterior_draws": mc["posterior_draws"],
         "functional": functional.kind,
@@ -169,11 +177,12 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
         mc["posterior_draws"],
         l_star,
         seed=seed,
-        reference_draws=mc["reference_draws"],
     )
+    law = report_obj.statistic.law
     csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"projector_statistic config={tag}", report_obj.statistic.law.values)
-    return report_obj.to_json_dict(), ["statistic.csv"]
+    _write_csv(csv_path, f"projector_statistic config={tag}", law.values)
+    report = {**report_obj.to_json_dict(), "ks_resolution": _ks_resolution(len(law))}
+    return report, ["statistic.csv"]
 
 
 def _cmd_contraction(cfg, model, out_dir, tag, seed):

@@ -7,7 +7,7 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaln
 
 from .datagen import Dataset, DatasetSpec, derived_rng, estimate_delta_hat, sample_dataset
 from .diagnostics import EmpiricalLaw, ErrorBudget, budget_projector, kolmogorov_distance
@@ -22,6 +22,11 @@ from .spectral import (
 from .errors import PreconditionWarning
 
 _DEGENERATE_GAP_FLOOR = 1e-6
+# Ruben's series stops once the mixing mass it leaves out is below this
+_SERIES_TAIL = 1e-13
+# the series needs about 27 terms per unit of the largest-to-smallest weight
+# ratio, so this admits ratios up to about 4000 and bounds time and memory
+_MAX_SERIES_TERMS = 1 << 17
 
 
 def _descending_eigen(mats: np.ndarray, index_set: np.ndarray):
@@ -96,14 +101,24 @@ def posterior_projector_statistic(
 @dataclasses.dataclass(frozen=True)
 class ChiSquareMixture:
     """Law of the squared norm of a centered Gaussian with diagonal covariance:
-    a positively weighted sum of independent one-degree chi-squares."""
+    a positively weighted sum of independent one-degree chi-squares.
+
+    The CDF is exact and deterministic (Ruben 1962, Ann. Math. Statist.
+    33:542).  With beta the smallest weight and d the number of weights, Q /
+    beta is a mixture of chi-squares with d + 2k degrees of freedom.  The
+    mixing coefficients c_k are nonnegative, so truncating the series at K
+    terms errs by at most 1 - sum(c_k), which is kept below 1e-13.  The term
+    count grows with the ratio of the largest to the smallest weight, and so
+    does the time: at 20k points, 174 terms and 20 ms at ratio 4.5, 24.6k
+    terms and 4-5 s at ratio 891.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
+        if w.ndim != 1 or w.size == 0 or not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("mixture weights must be a nonempty vector of finite positive numbers")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -115,26 +130,61 @@ class ChiSquareMixture:
     def variance(self) -> float:
         return 2.0 * float(np.sum(self.weights**2))
 
-    @property
-    def equal_weights(self) -> bool:
-        w = self.weights
-        return bool(np.all(np.abs(w - w[0]) <= 1e-12 * w[0]))
-
     def sample(self, count: int, seed: int) -> np.ndarray:
         rng = derived_rng(seed, 4242)
         z = rng.standard_normal((count, len(self.weights)))
         return (z**2) @ self.weights
 
-    def cdf(self, x, mc_draws: int = 100_000, seed: int = 0):
-        """CDF at x; exact chi-square for equal weights, Monte Carlo otherwise."""
+    def _series(self) -> tuple[float, np.ndarray]:
+        """beta and Ruben's mixing coefficients c_0 .. c_{K-1}.
+
+        The c_k are the law of a sum of independent negative binomials, one
+        per distinct weight lambda with multiplicity h, with pmf proportional
+        to Gamma(h/2 + k) / k! * q^k and q = 1 - beta/lambda.  Each pmf and
+        their convolution are exact in their first `size` entries; `size`
+        doubles until they hold all but 1e-13 of the mass.
+        """
+        lam, mult = np.unique(self.weights, return_counts=True)
+        beta = float(lam[0])
+        size = 64
+        while size <= _MAX_SERIES_TERMS:
+            k = np.arange(size - 1)
+            c = np.ones(1)
+            for lam_j, h in zip(lam[1:], mult[1:]):
+                q, shape = 1.0 - beta / lam_j, h / 2.0
+                ratios = q * (shape + k) / (k + 1)
+                pmf = (beta / lam_j) ** shape * np.cumprod(np.concatenate([[1.0], ratios]))
+                c = np.convolve(c, pmf)[:size]
+            mass = np.cumsum(c)
+            if mass[-1] > 1.0 - _SERIES_TAIL:
+                return beta, c[: np.argmax(mass > 1.0 - _SERIES_TAIL) + 1]
+            size *= 2
+        raise ValueError(
+            f"weights {lam[-1] / beta:.3g} apart need more than {_MAX_SERIES_TERMS} series terms"
+        )
+
+    def cdf(self, x):
+        """Exact CDF at x, to within 1e-13.
+
+        P(chi2_{d+2k} <= x/beta) = P(d/2 + k, y) with y = x / (2 beta) is the
+        regularized lower incomplete gamma function; one call gives the k = 0
+        term and P(a + 1, y) = P(a, y) - y^a e^-y / Gamma(a + 1) the rest.
+        Equal weights leave the single term P(d/2, y), the chi-square CDF.
+        """
+        beta, c = self._series()
         x = np.asarray(x, dtype=np.float64)
-        if self.equal_weights:
-            k = len(self.weights)
-            return stats.chi2.cdf(x, df=k, scale=float(self.weights[0]))
-        if mc_draws < 10_000:
-            raise ValueError("need at least 1e4 Monte Carlo draws")
-        ref = np.sort(self.sample(mc_draws, seed))
-        return np.searchsorted(ref, x, side="right") / mc_draws
+        # the largest double stands in for x = inf, which would give inf - inf
+        y = np.clip(x / (2.0 * beta), 0.0, np.finfo(np.float64).max)
+        a = len(self.weights) / 2.0 + np.arange(len(c))
+        log_gamma = gammaln(a)
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+        term = gammainc(a[0], y)
+        total = c[0] * term
+        for k in range(1, len(c)):
+            term = term - np.exp(a[k - 1] * log_y - y - log_gamma[k])
+            total += c[k] * term
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +217,6 @@ def projector_bvm_check(
     count: int,
     l_star_j: float,
     seed: int = 0,
-    reference_draws: int = 100_000,
     concentration_replications: int = 50,
 ) -> ProjectorBvmReport:
     """Full pipeline: data, posterior, projector statistic, reference mixture.
@@ -181,9 +230,7 @@ def projector_bvm_check(
     stat = posterior_projector_statistic(model, sel, draws, dataset)
     gamma = build_gamma(model, sel)
     mixture = ChiSquareMixture(gamma.diag_weights)
-    ks = kolmogorov_distance(
-        stat.law, lambda x: mixture.cdf(x, mc_draws=reference_draws, seed=seed)
-    )
+    ks = kolmogorov_distance(stat.law, mixture.cdf)
     delta_hat = estimate_delta_hat(data_spec, concentration_replications).radius
     gap = selection_gap(model, sel)
     model_norms = norms(model.sigma_star)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -119,6 +120,7 @@ class TestExperimentCommands:
         )
         report = run(cfg)
         assert report["ks"] < 0.1
+        assert report["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 4000.0))
         assert (out / "report.json").exists()
         assert (out / "statistic.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -141,6 +143,37 @@ class TestExperimentCommands:
                 ((out / "statistic.csv").read_bytes(), (out / "report.json").read_bytes())
             )
         assert blobs[0] == blobs[1]
+
+    def test_bvm_projector_outputs(self, tmp_path):
+        # weights 4 and 8/9 twice: the reference law is an unequal-weight mixture
+        cfg = base_config(
+            "bvm-projector",
+            model={"mu": [4.0, 2.0, 1.0], "mult": [1, 1, 2], "rotation_seed": 0},
+            data={"n": 2000, "seed": 3},
+            prior={"kind": "inverse_wishart"},
+            selection={"s_minus": 1, "s_plus": 1},
+            l_star_j=1.0,
+            monte_carlo={"posterior_draws": 2000},
+        )
+        legacy = {**cfg, "monte_carlo": {"posterior_draws": 2000, "reference_draws": 10_000}}
+        blobs = []
+        for sub, doc in (("a", cfg), ("b", cfg), ("legacy", legacy)):
+            out = tmp_path / sub
+            run(doc, out_override=str(out))
+            blobs.append((out / "report.json").read_bytes())
+        report = json.loads(blobs[0])
+        assert set(report) == {
+            "budget", "delta_hat", "ks", "ks_resolution", "near_degenerate_draws",
+            "precondition_ok",
+        }
+        assert report["ks"] < 0.1
+        # DKW half-width at alpha = 0.05 over the 2000 posterior draws
+        assert report["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 4000.0))
+        assert report["near_degenerate_draws"] == 0
+        # reruns are byte-identical, and the retired reference_draws key is ignored
+        assert blobs[0] == blobs[1] == blobs[2]
+        csv = [(tmp_path / sub / "statistic.csv").read_bytes() for sub in ("a", "b")]
+        assert csv[0] == csv[1]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = base_config(

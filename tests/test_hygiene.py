@@ -1,7 +1,10 @@
 """Static checks on the package and test sources."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +100,18 @@ def test_no_unused_parameters(path):
     source = path.read_text()
     exempt = dispatch_commands(source) if path.name == "cli.py" else set()
     assert unused_parameters(source, exempt) == []
+
+
+def test_import_leaves_out_heavy_scipy_modules():
+    # scipy.stats alone takes most of a second to import; the package needs
+    # none of it, nor scipy.integrate
+    code = (
+        "import sys, covbvm, covbvm.cli\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"

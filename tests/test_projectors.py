@@ -123,15 +123,25 @@ class TestProjectorStatistic:
             self.model, self.sel, self.draws, self.data
         )
         mixture = ChiSquareMixture(build_gamma(self.model, self.sel).diag_weights)
-        ks = kolmogorov_distance(stat.law, lambda x: mixture.cdf(x, seed=6))
+        ks = kolmogorov_distance(stat.law, mixture.cdf)
         assert ks < 0.08
         assert stat.law.values.mean() == pytest.approx(mixture.mean, rel=0.25)
 
 
+def dkw(m: int, alpha: float) -> float:
+    """Two-sided DKW half-width for an empirical CDF of m i.i.d. draws."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
+
+
 class TestChiSquareMixture:
-    def test_rejects_nonpositive_weight(self):
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 0.0], [], [math.nan, 1.0], [math.inf], [-1.0], [[1.0, 2.0]]],
+        ids=["zero", "empty", "nan", "inf", "negative", "matrix"],
+    )
+    def test_rejects_nonpositive_weight(self, weights):
         with pytest.raises(ValueError):
-            ChiSquareMixture([1.0, 0.0])
+            ChiSquareMixture(weights)
 
     def test_mean_and_variance(self):
         mix = ChiSquareMixture([0.625, 4.0])
@@ -142,7 +152,6 @@ class TestChiSquareMixture:
         # two unit weights: sum of two standard squared normals, exponential
         # with mean two, so the median is 2 log 2
         mix = ChiSquareMixture([1.0, 1.0])
-        assert mix.equal_weights
         assert mix.cdf(2 * math.log(2.0)) == pytest.approx(0.5)
         assert mix.cdf(0.0) == 0.0
 
@@ -154,16 +163,40 @@ class TestChiSquareMixture:
     def test_scaled_equal_weights_match_chi2(self):
         mix = ChiSquareMixture([8.0 / 9.0, 8.0 / 9.0])
         x = np.linspace(0.0, 10.0, 50)
-        assert np.allclose(mix.cdf(x), scipy.stats.chi2.cdf(x, df=2, scale=8.0 / 9.0))
+        chi2 = scipy.stats.chi2.cdf(x, df=2, scale=8.0 / 9.0)
+        np.testing.assert_allclose(mix.cdf(x), chi2, rtol=0, atol=1e-12)
 
-    def test_monte_carlo_matches_oracle(self):
-        mix = ChiSquareMixture([0.625, 4.0])
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal((1_000_000, 2))
-        oracle = np.sort(z[:, 0] ** 2 * 0.625 + z[:, 1] ** 2 * 4.0)
-        x = np.array([1.0, 3.0, 5.0, 10.0])
-        oracle_cdf = np.searchsorted(oracle, x) / len(oracle)
-        assert np.allclose(mix.cdf(x, mc_draws=200_000, seed=1), oracle_cdf, atol=0.01)
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.625, 1.5, 4.0],
+            # mu = [10, 1.1, 1], selection (3, 3): weights 891 apart
+            build_gamma(
+                model_from_spectrum([10.0, 1.1, 1.0], [1, 1, 1]), EigenspaceSelection(3, 3)
+            ).diag_weights,
+        ],
+        ids=["three-distinct", "ratio-891"],
+    )
+    def test_exact_cdf_matches_oracle(self, weights):
+        mix = ChiSquareMixture(weights)
+        m = 1_000_000
+        oracle = np.sort(mix.sample(m, seed=1))
+        x = np.quantile(oracle, np.linspace(0.0025, 0.9975, 200))
+        oracle_cdf = np.searchsorted(oracle, x, side="right") / m
+        assert np.max(np.abs(mix.cdf(x) - oracle_cdf)) <= dkw(m, 1e-3)
+
+    def test_cdf_nondecreasing_in_unit_interval(self):
+        mix = ChiSquareMixture(np.r_[np.full(12, 4.0), np.full(24, 8.0 / 9.0)])
+        x = np.r_[-5.0, np.linspace(0.0, 12.0 * mix.mean, 20_001), 1e300, math.inf]
+        f = mix.cdf(x)
+        assert np.all(np.diff(f) >= 0)
+        assert f[0] == 0.0 and 0.0 <= f.min() and f.max() <= 1.0
+        assert f[-1] == pytest.approx(1.0, abs=1e-13)
+
+    def test_series_length_is_capped(self):
+        # weights 1e4 apart need about 270k terms, past the cap
+        with pytest.raises(ValueError):
+            ChiSquareMixture([1e-3, 10.0]).cdf(1.0)
 
     def test_equal_weight_mc_agrees_with_analytic(self):
         mix = ChiSquareMixture([2.0, 2.0, 2.0])
@@ -194,7 +227,6 @@ class TestProjectorBvmCheck:
             count=4000,
             l_star_j=1.0,
             seed=7,
-            reference_draws=50_000,
             concentration_replications=30,
         )
         assert report.ks_distance < 0.1
