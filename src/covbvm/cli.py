@@ -28,6 +28,7 @@ from .diagnostics import (
     estimate_contraction_radius,
     flatness_profile,
     kolmogorov_distance,
+    ks_resolution,
     save_flatness_csv,
     tv_distance_over_statistics,
 )
@@ -109,14 +110,6 @@ def _monte_carlo(cfg: dict) -> dict:
     }
 
 
-def _ks_resolution(draws: int) -> float:
-    """DKW half-width sqrt(log(2/alpha) / (2M)) at alpha = 0.05: the KS distance
-    of M i.i.d. draws to their own law exceeds it with probability at most
-    alpha.  The reference laws are exact, so the posterior draws are the only
-    Monte Carlo source in a reported KS."""
-    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * draws))
-
-
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -153,7 +146,7 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     report = {
         "command": "bvm-functional",
         "ks": ks,
-        "ks_resolution": _ks_resolution(len(stat.law)),
+        "ks_resolution": ks_resolution(len(stat.law)),
         "n": data_spec.n,
         "posterior_draws": mc["posterior_draws"],
         "functional": functional.kind,
@@ -178,11 +171,9 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
         l_star,
         seed=seed,
     )
-    law = report_obj.statistic.law
     csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"projector_statistic config={tag}", law.values)
-    report = {**report_obj.to_json_dict(), "ks_resolution": _ks_resolution(len(law))}
-    return report, ["statistic.csv"]
+    _write_csv(csv_path, f"projector_statistic config={tag}", report_obj.statistic.law.values)
+    return report_obj.to_json_dict(), ["statistic.csv"]
 
 
 def _cmd_contraction(cfg, model, out_dir, tag, seed):

@@ -66,6 +66,14 @@ def kolmogorov_distance(a: EmpiricalLaw, b) -> float:
     return float(np.max(np.maximum(f - lower, upper - f)))
 
 
+def ks_resolution(draws: int) -> float:
+    """DKW half-width sqrt(log(2/alpha) / (2M)) at alpha = 0.05: the KS distance
+    of M i.i.d. draws to their own law exceeds it with probability at most
+    alpha.  The reference laws are exact, so the posterior draws are the only
+    Monte Carlo source in a reported KS."""
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * draws))
+
+
 def default_statistic_battery() -> dict:
     """Scalar pushforwards used for the TV lower bound."""
     return {

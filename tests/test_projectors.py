@@ -167,20 +167,38 @@ class TestChiSquareMixture:
         np.testing.assert_allclose(mix.cdf(x), chi2, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "weights",
+        "weights, grouped",
         [
-            [0.625, 1.5, 4.0],
+            ([0.625, 1.5, 4.0], False),
             # mu = [10, 1.1, 1], selection (3, 3): weights 891 apart
-            build_gamma(
-                model_from_spectrum([10.0, 1.1, 1.0], [1, 1, 1]), EigenspaceSelection(3, 3)
-            ).diag_weights,
+            (
+                build_gamma(
+                    model_from_spectrum([10.0, 1.1, 1.0], [1, 1, 1]), EigenspaceSelection(3, 3)
+                ).diag_weights,
+                False,
+            ),
+            # mu = [10, 2, 1], mult [5, 5, 190], selection (2, 2): weights 0.625
+            # (x25) and 4 (x950), whose pmf factors leave double range
+            (
+                build_gamma(
+                    model_from_spectrum([10.0, 2.0, 1.0], [5, 5, 190]), EigenspaceSelection(2, 2)
+                ).diag_weights,
+                True,
+            ),
         ],
-        ids=["three-distinct", "ratio-891"],
+        ids=["three-distinct", "ratio-891", "large-multiplicity"],
     )
-    def test_exact_cdf_matches_oracle(self, weights):
+    def test_exact_cdf_matches_oracle(self, weights, grouped):
         mix = ChiSquareMixture(weights)
         m = 1_000_000
-        oracle = np.sort(mix.sample(m, seed=1))
+        if grouped:
+            # sample() holds an m x 975 array; draw lambda * chi2_h per distinct
+            # weight lambda of multiplicity h instead, the same law
+            rng = np.random.default_rng(1)
+            lam, mult = np.unique(mix.weights, return_counts=True)
+            oracle = np.sort(sum(l * rng.chisquare(h, m) for l, h in zip(lam, mult)))
+        else:
+            oracle = np.sort(mix.sample(m, seed=1))
         x = np.quantile(oracle, np.linspace(0.0025, 0.9975, 200))
         oracle_cdf = np.searchsorted(oracle, x, side="right") / m
         assert np.max(np.abs(mix.cdf(x) - oracle_cdf)) <= dkw(m, 1e-3)
@@ -235,4 +253,5 @@ class TestProjectorBvmCheck:
         assert report.statistic.near_degenerate_count == 0
         doc = report.to_json_dict()
         assert doc["ks"] == report.ks_distance
+        assert doc["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 8000.0))
         assert doc["budget"]["context"] == "projector"
