@@ -4,7 +4,6 @@ spectral projectors, with conjugate and density-evaluable priors."""
 from .spd import SpdMatrix, norms, load_matrix_csv, save_matrix_csv
 from .spectral import (
     EigenspaceSelection,
-    GammaMatrix,
     SpectralModel,
     build_gamma,
     model_from_spectrum,
@@ -12,7 +11,6 @@ from .spectral import (
     spectral_decompose,
 )
 from .datagen import (
-    ConcentrationEstimate,
     Dataset,
     DatasetSpec,
     dataset_from_samples,
@@ -41,7 +39,6 @@ from .posterior import (
 from .diagnostics import (
     EmpiricalLaw,
     ErrorBudget,
-    FlatnessProfile,
     budget_functional,
     budget_posterior_independence,
     budget_projector,

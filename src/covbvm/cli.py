@@ -21,6 +21,7 @@ from scipy.special import ndtr
 from . import __version__
 from .datagen import DatasetSpec, derived_seed, sample_dataset
 from .diagnostics import (
+    MIN_LAW_SIZE,
     budget_functional,
     budget_posterior_independence,
     budget_projector,
@@ -41,7 +42,7 @@ from .posterior import (
     localize_draws,
     sample_posterior,
 )
-from .projectors import posterior_projector_statistic, projector_bvm_check
+from .projectors import posterior_projector_statistic, projector_bvm_check, projector_distances
 from .spd import SpdMatrix, load_matrix_csv
 from .spectral import EigenspaceSelection, model_from_spectrum, spectral_decompose
 
@@ -80,13 +81,16 @@ def _build_model(doc: dict, base_dir: str):
 def _build_prior(doc: dict, model):
     kind = _require(doc, "kind", "config.prior")
     p = model.dim
-    if kind == "inverse_wishart":
-        scale_diag = doc.get("scale_diag", 0.01)
-        scale = SpdMatrix(scale_diag * np.eye(p))
-        return InverseWishartPrior(scale, b=doc.get("b", 2.0))
-    if kind == "uniform_vicinity":
-        delta = _require(doc, "delta", "config.prior")
-        return UniformVicinityPrior(model.sigma_star, delta)
+    try:
+        if kind == "inverse_wishart":
+            scale_diag = doc.get("scale_diag", 0.01)
+            scale = SpdMatrix(scale_diag * np.eye(p))
+            return InverseWishartPrior(scale, b=doc.get("b", 2.0))
+        if kind == "uniform_vicinity":
+            delta = _require(doc, "delta", "config.prior")
+            return UniformVicinityPrior(model.sigma_star, delta)
+    except ValueError as exc:
+        raise ConfigError(f"config.prior: {exc}") from exc
     raise ConfigError(
         f"config.prior: unsupported kind {kind!r} (generic priors need a callable "
         "density and are not configurable from JSON)"
@@ -94,11 +98,22 @@ def _build_prior(doc: dict, model):
 
 
 def _build_data_spec(doc: dict, model, seed: int) -> DatasetSpec:
-    return DatasetSpec(
-        model=model,
-        family=doc.get("family", "gaussian"),
-        n=int(_require(doc, "n", "config.data")),
-        seed=int(doc.get("seed", seed)),
+    try:
+        return DatasetSpec(
+            model=model,
+            family=doc.get("family", "gaussian"),
+            n=int(_require(doc, "n", "config.data")),
+            seed=int(doc.get("seed", seed)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config.data: {exc}") from exc
+
+
+def _build_selection(cfg: dict) -> EigenspaceSelection:
+    doc = _require(cfg, "selection")
+    return EigenspaceSelection(
+        int(_require(doc, "s_minus", "config.selection")),
+        int(_require(doc, "s_plus", "config.selection")),
     )
 
 
@@ -108,6 +123,16 @@ def _monte_carlo(cfg: dict) -> dict:
         "posterior_draws": int(mc.get("posterior_draws", 10_000)),
         "replications": int(mc.get("replications", 100)),
     }
+
+
+def _law_draws(mc: dict) -> int:
+    """Posterior draws for a command that forms an empirical law of them."""
+    draws = mc["posterior_draws"]
+    if draws < MIN_LAW_SIZE:
+        raise ConfigError(
+            f"config.monte_carlo.posterior_draws: need at least {MIN_LAW_SIZE}, got {draws}"
+        )
+    return draws
 
 
 def config_hash(cfg: dict) -> str:
@@ -138,7 +163,7 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     prior = _build_prior(_require(cfg, "prior"), model)
     functional = functional_from_json(model, _require(cfg, "functional"))
     dataset = sample_dataset(data_spec)
-    draws = sample_posterior(default_sampler(prior, dataset, seed=seed), mc["posterior_draws"])
+    draws = sample_posterior(default_sampler(prior, dataset, seed=seed), _law_draws(mc))
     stat = standardized_statistic(functional, draws, dataset)
     ks = kolmogorov_distance(stat.law, ndtr)
     csv_path = os.path.join(out_dir, "statistic.csv")
@@ -159,21 +184,22 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
     prior = _build_prior(_require(cfg, "prior"), model)
-    sel_doc = _require(cfg, "selection")
-    sel = EigenspaceSelection(int(sel_doc["s_minus"]), int(sel_doc["s_plus"]))
+    sel = _build_selection(cfg)
     l_star = float(_require(cfg, "l_star_j"))
-    report_obj = projector_bvm_check(
-        model,
-        sel,
-        prior,
-        data_spec,
-        mc["posterior_draws"],
-        l_star,
-        seed=seed,
-    )
+    result = projector_bvm_check(model, sel, prior, data_spec, _law_draws(mc), l_star, seed=seed)
+    law = result.statistic.law
     csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"projector_statistic config={tag}", report_obj.statistic.law.values)
-    return report_obj.to_json_dict(), ["statistic.csv"]
+    _write_csv(csv_path, f"projector_statistic config={tag}", law.values)
+    report = {
+        "command": "bvm-projector",
+        "ks": result.ks_distance,
+        "ks_resolution": ks_resolution(len(law)),
+        "budget": result.budget.to_json_dict(),
+        "precondition_ok": result.precondition_ok,
+        "delta_hat": result.delta_hat,
+        "near_degenerate_draws": result.statistic.near_degenerate_count,
+    }
+    return report, ["statistic.csv"]
 
 
 def _cmd_contraction(cfg, model, out_dir, tag, seed):
@@ -202,15 +228,10 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
 def _cmd_flatness(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     prior = _build_prior(_require(cfg, "prior"), model)
-    grid = _require(cfg, "delta_grid")
-    profile = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
-    csv_path = os.path.join(out_dir, "flatness.csv")
-    save_flatness_csv(csv_path, profile)
-    report = {
-        "command": "flatness",
-        "delta_grid": [float(x) for x in profile.delta_grid],
-        "rho": [float(x) for x in profile.rho_values],
-    }
+    grid = [float(x) for x in _require(cfg, "delta_grid")]
+    rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
+    save_flatness_csv(os.path.join(out_dir, "flatness.csv"), grid, rho)
+    report = {"command": "flatness", "delta_grid": grid, "rho": [float(x) for x in rho]}
     return report, ["flatness.csv"]
 
 
@@ -263,19 +284,19 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
         raise ConfigError("config.monte_carlo.replications: coverage needs at least 100")
     draws_per_rep = mc["posterior_draws"]
     notes = []
-    if draws_per_rep < 100:
-        msg = f"only {draws_per_rep} posterior draws per replication; quantiles unreliable"
-        warnings.warn(msg, LowDraws)
-        notes.append(msg)
     functional = None
     sel = None
     if "functional" in cfg:
         functional = functional_from_json(model, cfg["functional"])
         truth = evaluate(functional, model.sigma_star)
+        if draws_per_rep < 100:
+            msg = f"only {draws_per_rep} posterior draws per replication; quantiles unreliable"
+            warnings.warn(msg, LowDraws)
+            notes.append(msg)
     elif "selection" in cfg:
-        sel_doc = cfg["selection"]
-        sel = EigenspaceSelection(int(sel_doc["s_minus"]), int(sel_doc["s_plus"]))
-        truth = model.group_projectors[sel.s_minus - 1 : sel.s_plus].sum(axis=0)
+        sel = _build_selection(cfg)
+        draws_per_rep = _law_draws(mc)
+        truth = model.sigma_star.entries[None]
     else:
         raise ConfigError("config: coverage needs a functional or a selection")
     hits = 0
@@ -292,7 +313,8 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
             widths[k] = hi - lo
         else:
             stat = posterior_projector_statistic(model, sel, draws, dataset)
-            truth_stat = data_spec.n * float(np.sum((truth - stat.empirical_projector) ** 2))
+            # the ground truth is scored by the distance that scores the draws
+            truth_stat = projector_distances(model, sel, truth, dataset)[0][0]
             q = float(np.quantile(stat.law.values, level))
             hits += truth_stat <= q
             widths[k] = q
@@ -314,30 +336,32 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
 def _cmd_budget(cfg, model, out_dir, tag, seed):
     doc = _require(cfg, "budget")
     context = _require(doc, "context", "config.budget")
+
+    def field(key):
+        return _require(doc, key, "config.budget")
+
     if context == "posterior_independence":
         budget = budget_posterior_independence(
-            float(doc["rho"]), float(doc["rho_w"]), int(doc["n"])
+            float(field("rho")), float(field("rho_w")), int(field("n"))
         )
     elif context == "functional":
         functional = functional_from_json(model, _require(cfg, "functional"))
         budget = budget_functional(
             model,
             functional,
-            int(doc["n"]),
-            float(doc["delta_w"]),
-            float(doc["delta_hat"]),
-            float(doc["delta_tilde"]),
+            int(field("n")),
+            float(field("delta_w")),
+            float(field("delta_hat")),
+            float(field("delta_tilde")),
             float(doc.get("g_norm_scaled", 0.0)),
         )
     elif context == "projector":
-        sel_doc = _require(cfg, "selection")
-        sel = EigenspaceSelection(int(sel_doc["s_minus"]), int(sel_doc["s_plus"]))
         budget = budget_projector(
             model,
-            sel,
-            int(doc["n"]),
+            _build_selection(cfg),
+            int(field("n")),
             model.dim,
-            float(doc["delta_hat"]),
+            float(field("delta_hat")),
             float(doc.get("g_norm", 0.0)),
             float(_require(cfg, "l_star_j")),
         )

@@ -88,13 +88,6 @@ def sample_dataset(spec: DatasetSpec, seed_branch: int | None = None) -> Dataset
     return dataset_from_samples(x, spec)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConcentrationEstimate:
-    radius: float
-    confidence_level: float
-    replications: int
-
-
 def _quantile_order_stat(values: np.ndarray, level: float) -> float:
     """Order statistic at ceil(level * R), clamped to the maximum."""
     r = len(values)
@@ -102,7 +95,7 @@ def _quantile_order_stat(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def estimate_delta_hat(spec: DatasetSpec, replications: int) -> ConcentrationEstimate:
+def estimate_delta_hat(spec: DatasetSpec, replications: int) -> float:
     """Empirical (1 - 1/n)-quantile of the relative spectral deviation of Sigma-hat."""
     if replications < 20:
         raise ValueError("need at least 20 replications")
@@ -110,13 +103,10 @@ def estimate_delta_hat(spec: DatasetSpec, replications: int) -> ConcentrationEst
     for k in range(replications):
         ds = sample_dataset(spec, seed_branch=k)
         devs[k] = relative_deviation(ds.sample_cov.entries, spec.model.sigma_star)
-    level = 1.0 - 1.0 / spec.n
-    return ConcentrationEstimate(_quantile_order_stat(devs, level), level, replications)
+    return _quantile_order_stat(devs, 1.0 - 1.0 / spec.n)
 
 
-def estimate_delta_tilde(
-    spec: DatasetSpec, functional, replications: int
-) -> ConcentrationEstimate:
+def estimate_delta_tilde(spec: DatasetSpec, functional, replications: int) -> float:
     """Concentration radius of the rank-r projected, whitened sample covariance.
 
     The functional supplies the orthonormal limit factor V; the measured
@@ -133,5 +123,4 @@ def estimate_delta_tilde(
         ds = sample_dataset(spec, seed_branch=k)
         proj = sym(w.T @ (ds.sample_cov.entries - target) @ w)
         devs[k] = spectral_norm(proj)
-    level = 1.0 - 1.0 / spec.n
-    return ConcentrationEstimate(_quantile_order_stat(devs, level), level, replications)
+    return _quantile_order_stat(devs, 1.0 - 1.0 / spec.n)

@@ -24,7 +24,7 @@ from .posterior import (
 from .spd import relative_deviation, spectral_norm, sym
 from .spectral import EigenspaceSelection, SpectralModel, build_gamma, selection_gap
 
-_MIN_LAW_SIZE = 100
+MIN_LAW_SIZE = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,8 +35,8 @@ class EmpiricalLaw:
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=np.float64))
-        if len(v) < _MIN_LAW_SIZE:
-            raise ValueError(f"need at least {_MIN_LAW_SIZE} values, got {len(v)}")
+        if len(v) < MIN_LAW_SIZE:
+            raise ValueError(f"need at least {MIN_LAW_SIZE} values, got {len(v)}")
         if not np.all(np.isfinite(v)):
             raise ValueError("law contains non-finite values")
         v.setflags(write=False)
@@ -186,32 +186,24 @@ def estimate_flatness(
     return worst
 
 
-@dataclasses.dataclass(frozen=True)
-class FlatnessProfile:
-    delta_grid: np.ndarray
-    rho_values: np.ndarray
-    points_per_delta: int
-
-
 def flatness_profile(
     prior: PriorSpec,
     model: SpectralModel,
     delta_grid,
     probe_count: int,
     seed: int = 0,
-) -> FlatnessProfile:
-    delta_grid = np.asarray(delta_grid, dtype=np.float64)
-    rho = np.array(
+) -> np.ndarray:
+    """estimate_flatness at each radius of the grid, with the same probes."""
+    return np.array(
         [estimate_flatness(prior, model, d, probe_count, seed) for d in delta_grid]
     )
-    return FlatnessProfile(delta_grid, rho, probe_count)
 
 
-def save_flatness_csv(path, profile: FlatnessProfile) -> None:
+def save_flatness_csv(path, delta_grid, rho) -> None:
     with open(path, "w") as fh:
         fh.write("delta,rho\n")
-        for d, r in zip(profile.delta_grid, profile.rho_values):
-            fh.write(f"{d!r},{r!r}\n")
+        for d, r in zip(delta_grid, rho):
+            fh.write(f"{float(d)!r},{float(r)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def budget_projector(
 
     l_star_j has no computed default and must be supplied by the caller.
     """
-    gamma = build_gamma(model, sel)
+    weights = build_gamma(model, sel)
     gap = selection_gap(model, sel)
     m = sel.total_mult(model)
     eigs = model.sigma_star.eigenvalues
@@ -295,12 +287,14 @@ def budget_projector(
     ) * (m * snorm / gap**2) * math.sqrt((logn + p) / n)
     d2 = snorm * min(m * snorm**2, tr_sq) / gap**3 * p * (delta_hat + p / n)
     d3 = m**1.5 * snorm * tr / gap**2 * math.sqrt(logn / n)
-    denom_sq = gamma.frobenius**2 - gamma.spectral**2
+    frobenius = float(np.sqrt(np.sum(weights**2)))
+    spectral = float(np.max(weights))
+    denom_sq = frobenius**2 - spectral**2
     if denom_sq <= 0:
         raise DegenerateNormalizer(
             "limit-law weight vector too short to normalize the budget"
         )
-    normalizer = math.sqrt(gamma.frobenius) * denom_sq**0.25
+    normalizer = math.sqrt(frobenius) * denom_sq**0.25
     terms = {
         "diamond_1": d1,
         "diamond_2": d2,

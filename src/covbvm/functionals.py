@@ -10,7 +10,7 @@ import numpy as np
 
 from .datagen import Dataset, dataset_from_samples
 from .diagnostics import EmpiricalLaw
-from .errors import BadDimension, DegenerateFunctional
+from .errors import BadDimension, ConfigError, DegenerateFunctional
 from .posterior import (
     InverseWishartPrior,
     PosteriorDraws,
@@ -29,8 +29,8 @@ class FunctionalSpec:
     """A functional described by its linearization matrix and spectral factors.
 
     phi is the linearization matrix; u/psi give its thin eigenfactorization,
-    limit_v/limit_d the factors of S^1/2 phi S^1/2 around the ground truth S.
-    The normalizer is sqrt(2) times the Frobenius norm of limit_d.
+    limit_v the eigenvectors of S^1/2 phi S^1/2 around the ground truth S, and
+    the normalizer is sqrt(2) times the Frobenius norm of its eigenvalues.
     """
 
     kind: str
@@ -40,7 +40,6 @@ class FunctionalSpec:
     u: np.ndarray  # (p, r) orthonormal columns
     psi: np.ndarray  # (r,) eigenvalues of phi
     limit_v: np.ndarray  # (p, r) orthonormal columns
-    limit_d: np.ndarray  # (r,)
     normalizer: float
     cluster_block: np.ndarray | None = None  # descending-order eigenvalue positions
 
@@ -53,16 +52,6 @@ def _thin_factors(mat: np.ndarray):
     return w[keep], v[:, keep]
 
 
-def _normalizer(cov: SpdMatrix, phi: np.ndarray):
-    """sqrt(2) ||D||_F, with (D, V) the thin factors of C^1/2 phi C^1/2.
-
-    Returns (normalizer, D, V); C is the covariance the limit is taken at.
-    """
-    half = cov.sqrtm()
-    d, v = _thin_factors(half @ phi @ half)
-    return math.sqrt(2.0) * float(np.sqrt(np.sum(d**2))), d, v
-
-
 def _build(model: SpectralModel, kind: str, phi: np.ndarray, c_phi, block=None):
     phi = sym(np.asarray(phi, dtype=np.float64))
     if phi.shape != (model.dim, model.dim):
@@ -72,10 +61,12 @@ def _build(model: SpectralModel, kind: str, phi: np.ndarray, c_phi, block=None):
     psi, u = _thin_factors(phi)
     if len(psi) == 0:
         raise DegenerateFunctional("linearization matrix is numerically zero")
-    normalizer, d, v = _normalizer(model.sigma_star, phi)
-    return FunctionalSpec(
-        kind, phi, len(psi), c_phi, u, psi, v, d, normalizer, block
-    )
+    half = model.sigma_star.sqrtm()
+    d, v = _thin_factors(half @ phi @ half)
+    normalizer = math.sqrt(2.0) * float(np.sqrt(np.sum(d**2)))
+    if normalizer <= 0:
+        raise DegenerateFunctional("zero statistic normalizer")
+    return FunctionalSpec(kind, phi, len(psi), c_phi, u, psi, v, normalizer, block)
 
 
 def linear_functional(model: SpectralModel, phi: np.ndarray) -> FunctionalSpec:
@@ -87,6 +78,10 @@ def trace_functional(model: SpectralModel) -> FunctionalSpec:
 
 
 def entry_functional(model: SpectralModel, i: int, j: int) -> FunctionalSpec:
+    """(Sigma_ij + Sigma_ji) / 2, with 0-based indices below the dimension."""
+    for index in (i, j):
+        if not 0 <= index < model.dim:
+            raise BadDimension(f"entry index {index} outside 0..{model.dim - 1}")
     phi = np.zeros((model.dim, model.dim))
     phi[i, j] += 0.5
     phi[j, i] += 0.5
@@ -114,18 +109,31 @@ def log_det_functional(model: SpectralModel) -> FunctionalSpec:
 
 
 def functional_from_json(model: SpectralModel, doc: dict) -> FunctionalSpec:
-    kind = doc["kind"]
-    if kind == "trace":
-        return trace_functional(model)
-    if kind == "entry":
-        return entry_functional(model, doc["i"], doc["j"])
-    if kind == "eigenvalue_cluster":
-        return eigenvalue_cluster_functional(model, doc["s"])
-    if kind == "log_det":
-        return log_det_functional(model)
-    if kind == "linear":
-        return linear_functional(model, np.asarray(doc["phi"]))
-    raise BadDimension(f"unknown functional kind {kind!r}")
+    """The functional that a config's ``functional`` section describes.
+
+    A missing field, an unknown kind, or an index or matrix that does not fit
+    the model raises ConfigError naming the config path.
+    """
+
+    def field(key):
+        if key not in doc:
+            raise ConfigError(f"config.functional: missing required field {key!r}")
+        return doc[key]
+
+    kind = field("kind")
+    builders = {
+        "trace": lambda: trace_functional(model),
+        "entry": lambda: entry_functional(model, field("i"), field("j")),
+        "eigenvalue_cluster": lambda: eigenvalue_cluster_functional(model, field("s")),
+        "log_det": lambda: log_det_functional(model),
+        "linear": lambda: linear_functional(model, np.asarray(field("phi"))),
+    }
+    if kind not in builders:
+        raise ConfigError(f"config.functional.kind: unknown functional kind {kind!r}")
+    try:
+        return builders[kind]()
+    except BadDimension as exc:
+        raise ConfigError(f"config.functional: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +176,22 @@ def linearization_residual(
 class StandardizedStatistic:
     law: EmpiricalLaw
     normalizer: float
-    kind: str
 
 
 def standardized_statistic(
     functional: FunctionalSpec,
     draws: PosteriorDraws | np.ndarray,
     data: Dataset,
-    plugin_normalizer: bool = False,
 ) -> StandardizedStatistic:
     """Centered and scaled law of the functional over posterior draws.
 
-    The default normalizer uses the ground-truth covariance as in the limit
-    theorem; plugin_normalizer swaps in the sample covariance for coverage-style
-    experiments.
+    The normalizer uses the ground-truth covariance, as in the limit theorem.
     """
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
     norm = functional.normalizer
-    if plugin_normalizer:
-        norm = _normalizer(data.sample_cov, functional.phi)[0]
-    if norm <= 0:
-        raise DegenerateFunctional("zero statistic normalizer")
     center = evaluate(functional, data.sample_cov)
     values = math.sqrt(data.n) * (evaluate_batch(functional, mats) - center) / norm
-    return StandardizedStatistic(EmpiricalLaw(values), norm, functional.kind)
+    return StandardizedStatistic(EmpiricalLaw(values), norm)
 
 
 def rank_adjusted_pipeline(
@@ -203,9 +203,11 @@ def rank_adjusted_pipeline(
 ) -> StandardizedStatistic:
     """Project the data through the functional's eigenbasis and run the
     low-dimensional posterior; the standardized law matches the full-space one.
+
+    The statistic is Tr(Psi Xi) over draws Xi of the reduced posterior, and it
+    shares the full-space normalizer: with Xi* = U^T S U at the ground truth S,
+    Tr((Psi Xi*)^2) = Tr((phi S)^2).
     """
-    if data.spec is None:
-        raise BadDimension("rank-adjusted pipeline needs a dataset carrying its model")
     p = data.dim
     r = functional.rank_r
     if r >= p:
@@ -215,16 +217,13 @@ def rank_adjusted_pipeline(
         raise BadDimension(f"low-dimensional prior has dim {prior_dim}, need {r}")
     u = functional.u
     reduced = dataset_from_samples(data.samples @ u)
-    xi_star = SpdMatrix(u.T @ data.spec.model.sigma_star.entries @ u)
-    norm = _normalizer(xi_star, np.diag(functional.psi))[0]
-    if norm <= 0:
-        raise DegenerateFunctional("zero rank-adjusted normalizer")
     sampler = default_sampler(low_dim_prior, reduced, seed=seed)
     xi_draws = sample_posterior(sampler, count)
     center = float(np.sum(np.diag(functional.psi) * np.diag(u.T @ data.sample_cov.entries @ u)))
     stat = np.einsum("i,mii->m", functional.psi, xi_draws.matrices)
+    norm = functional.normalizer
     values = math.sqrt(data.n) * (stat - center) / norm
-    return StandardizedStatistic(EmpiricalLaw(values), norm, "rank_adjusted:" + functional.kind)
+    return StandardizedStatistic(EmpiricalLaw(values), norm)
 
 
 def reduced_inverse_wishart_prior(

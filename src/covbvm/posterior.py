@@ -85,8 +85,8 @@ class InverseWishartPrior:
     def dim(self) -> int:
         return self.scale.dim
 
-    def dof(self, p: int | None = None) -> float:
-        return (self.dim if p is None else p) + self.b - 1.0
+    def dof(self) -> float:
+        return self.dim + self.b - 1.0
 
     def log_density(self, sigma: np.ndarray) -> float:
         """Unnormalized log density; raises if sigma is not SPD."""
@@ -120,7 +120,6 @@ class GenericPrior:
     """Density-evaluable prior; sampler-only priors are not representable."""
 
     log_density_fn: Callable[[np.ndarray], float]
-    name: str = "generic"
 
     def log_density(self, sigma: np.ndarray) -> float:
         return float(self.log_density_fn(sigma))
@@ -272,9 +271,9 @@ class PosteriorDraws:
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
     """Scale and dof of the exact inverse Wishart posterior."""
-    n, p = data.n, data.dim
+    n = data.n
     scale = SpdMatrix(n * data.sample_cov.entries + prior.scale.entries)
-    return scale, n + p + prior.b - 1.0
+    return scale, n + prior.dof()
 
 
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:

@@ -15,7 +15,6 @@ from .diagnostics import (
     ErrorBudget,
     budget_projector,
     kolmogorov_distance,
-    ks_resolution,
 )
 from .posterior import PosteriorDraws, PriorSpec, default_sampler, sample_posterior
 from .spd import norms
@@ -58,10 +57,40 @@ def empirical_projector(
 
 @dataclasses.dataclass(frozen=True)
 class ProjectorStatistic:
-    selection: EigenspaceSelection
     law: EmpiricalLaw
-    empirical_projector: np.ndarray
     near_degenerate_count: int = 0
+
+
+def projector_distances(
+    model: SpectralModel, sel: EigenspaceSelection, mats: np.ndarray, dataset: Dataset
+) -> tuple[np.ndarray, int]:
+    """n * squared Frobenius distance between the projector of each matrix in a
+    (k, p, p) stack and the sample covariance's, over the true index sets, and
+    the number of matrices whose own spectral gap at the selection boundary
+    falls below 1e-6.
+
+    With V (p, m) the orthonormal eigenvector columns of a matrix, and V-hat
+    and V-hat_perp the selected and the remaining eigenvector columns of the
+    sample covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2
+    = 2||V-hat_perp^T V||_F^2, twice the sum of squared sines of the principal
+    angles.  The last form has no cancellation, so a matrix sharing the sample
+    covariance's eigenvectors gives 0 up to squared rounding, and no p x p
+    projector is formed per matrix.
+    """
+    index_set = sel.index_set(model)
+    p = model.dim
+    vecs = _descending_eigen(dataset.sample_cov.entries, np.arange(p))[1]
+    hat_perp = np.delete(vecs, index_set, axis=1)
+    eigs_desc, cols = _descending_eigen(mats, index_set)
+    values = 2.0 * dataset.n * np.sum((hat_perp.T @ cols) ** 2, axis=(1, 2))
+    # per-matrix exterior gap at the selection boundary
+    lo_pos, hi_pos = int(index_set[0]), int(index_set[-1])
+    gaps = np.full(len(mats), np.inf)
+    if lo_pos > 0:
+        gaps = np.minimum(gaps, eigs_desc[:, lo_pos - 1] - eigs_desc[:, lo_pos])
+    if hi_pos < p - 1:
+        gaps = np.minimum(gaps, eigs_desc[:, hi_pos] - eigs_desc[:, hi_pos + 1])
+    return values, int(np.sum(gaps < _DEGENERATE_GAP_FLOOR))
 
 
 def posterior_projector_statistic(
@@ -70,35 +99,14 @@ def posterior_projector_statistic(
     draws: PosteriorDraws | np.ndarray,
     dataset: Dataset,
 ) -> ProjectorStatistic:
-    """Law of n * squared Frobenius distance between posterior and empirical
-    projectors over the true index sets.
-
-    With V (p, m) the orthonormal eigenvector columns of a draw, and V-hat and
-    V-hat_perp the selected and the remaining eigenvector columns of the sample
-    covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2
-    = 2||V-hat_perp^T V||_F^2, twice the sum of squared sines of the principal
-    angles.  The last form has no cancellation, so a draw sharing the sample
-    covariance's eigenvectors gives 0 up to squared rounding, and no p x p
-    projector is formed per draw.  Draws whose own spectral gap at the
-    selection boundary falls below 1e-6 are kept (the index sets are used
-    verbatim) but counted and reported.
+    """Law of the projector distances (see projector_distances) over
+    posterior draws.  Draws whose own spectral gap at the selection boundary
+    falls below 1e-6 are kept (the index sets are used verbatim) but counted
+    and reported.
     """
     mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
-    index_set = sel.index_set(model)
-    p = model.dim
-    vecs = _descending_eigen(dataset.sample_cov.entries, np.arange(p))[1]
-    hat, hat_perp = vecs[:, index_set], np.delete(vecs, index_set, axis=1)
-    eigs_desc, cols = _descending_eigen(mats, index_set)
-    values = 2.0 * dataset.n * np.sum((hat_perp.T @ cols) ** 2, axis=(1, 2))
-    # per-draw exterior gap at the selection boundary
-    lo_pos, hi_pos = int(index_set[0]), int(index_set[-1])
-    gaps = np.full(len(mats), np.inf)
-    if lo_pos > 0:
-        gaps = np.minimum(gaps, eigs_desc[:, lo_pos - 1] - eigs_desc[:, lo_pos])
-    if hi_pos < p - 1:
-        gaps = np.minimum(gaps, eigs_desc[:, hi_pos] - eigs_desc[:, hi_pos + 1])
-    near_degenerate = int(np.sum(gaps < _DEGENERATE_GAP_FLOOR))
-    return ProjectorStatistic(sel, EmpiricalLaw(values), hat @ hat.T, near_degenerate)
+    values, near_degenerate = projector_distances(model, sel, mats, dataset)
+    return ProjectorStatistic(EmpiricalLaw(values), near_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +228,6 @@ class ProjectorBvmReport:
     delta_hat: float
     statistic: ProjectorStatistic
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ks": self.ks_distance,
-            "ks_resolution": ks_resolution(len(self.statistic.law)),
-            "budget": self.budget.to_json_dict(),
-            "precondition_ok": self.precondition_ok,
-            "delta_hat": self.delta_hat,
-            "near_degenerate_draws": self.statistic.near_degenerate_count,
-        }
-
 
 def projector_bvm_check(
     model: SpectralModel,
@@ -250,10 +248,9 @@ def projector_bvm_check(
     sampler = default_sampler(prior, dataset, seed=seed)
     draws = sample_posterior(sampler, count)
     stat = posterior_projector_statistic(model, sel, draws, dataset)
-    gamma = build_gamma(model, sel)
-    mixture = ChiSquareMixture(gamma.diag_weights)
+    mixture = ChiSquareMixture(build_gamma(model, sel))
     ks = kolmogorov_distance(stat.law, mixture.cdf)
-    delta_hat = estimate_delta_hat(data_spec, concentration_replications).radius
+    delta_hat = estimate_delta_hat(data_spec, concentration_replications)
     gap = selection_gap(model, sel)
     model_norms = norms(model.sigma_star)
     bound = min(

@@ -119,22 +119,6 @@ class EigenspaceSelection:
         return int(model.group_mults[self.s_minus - 1 : self.s_plus].sum())
 
 
-@dataclasses.dataclass(frozen=True)
-class GammaMatrix:
-    """Diagonal of the Gaussian limit covariance for a selection of eigenspaces."""
-
-    selection: EigenspaceSelection
-    diag_weights: np.ndarray
-
-    @property
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self.diag_weights**2)))
-
-    @property
-    def spectral(self) -> float:
-        return float(np.max(self.diag_weights))
-
-
 def _group_eigenvalues(eigs_desc: np.ndarray, mults: np.ndarray | None, tol: float):
     """Return block boundaries and group means for descending eigenvalues."""
     p = len(eigs_desc)
@@ -223,8 +207,9 @@ def selection_gap(model: SpectralModel, sel: EigenspaceSelection) -> float:
     return float(min(mu[lo - 2] - mu[lo - 1], mu[hi - 1] - mu[hi]))
 
 
-def build_gamma(model: SpectralModel, sel: EigenspaceSelection) -> GammaMatrix:
-    """Diagonal weights 2*mu_s*mu_k/(mu_s - mu_k)^2 for s selected, k outside.
+def build_gamma(model: SpectralModel, sel: EigenspaceSelection) -> np.ndarray:
+    """Diagonal of the Gaussian limit covariance for a selection of eigenspaces:
+    the weights 2*mu_s*mu_k/(mu_s - mu_k)^2 for s selected, k outside.
 
     Blocks are ordered with the selected group outer and the outside group
     inner, each weight repeated m_s * m_k times.
@@ -243,4 +228,4 @@ def build_gamma(model: SpectralModel, sel: EigenspaceSelection) -> GammaMatrix:
                 raise DegenerateGap(f"groups {s + 1} and {k + 1} share eigenvalue")
             w = 2.0 * mu[s] * mu[k] / diff**2
             weights.append(np.full(mult[s] * mult[k], w))
-    return GammaMatrix(sel, np.concatenate(weights))
+    return np.concatenate(weights)

@@ -181,7 +181,7 @@ def test_criterion_05_projector_bvm():
         default_sampler(default_inverse_wishart_prior(p), data, seed=14), m
     )
     stat = posterior_projector_statistic(model, sel, draws, data)
-    mixture = ChiSquareMixture(build_gamma(model, sel).diag_weights)
+    mixture = ChiSquareMixture(build_gamma(model, sel))
     # both limit weights equal 2 * 4 * 1 / (4 - 1)^2
     assert np.allclose(mixture.weights, 8.0 / 9.0)
     ks = kolmogorov_distance(stat.law, lambda x: mixture.cdf(x))

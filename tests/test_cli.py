@@ -48,6 +48,100 @@ class TestValidation:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            (
+                base_config(
+                    "bvm-projector", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    selection={"s_plus": 1}, l_star_j=1.0,
+                ),
+                "config.selection",
+            ),
+            (
+                base_config(
+                    "budget", selection={"s_minus": 1}, l_star_j=1.0,
+                    budget={"context": "projector", "n": 500, "delta_hat": 0.1},
+                ),
+                "config.selection",
+            ),
+            (
+                base_config(
+                    "budget", budget={"context": "posterior_independence", "rho_w": 0.2, "n": 50}
+                ),
+                "config.budget",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    functional={},
+                ),
+                "config.functional",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500, "family": "cauchy"},
+                    prior={"kind": "inverse_wishart"}, functional={"kind": "trace"},
+                ),
+                "config.data",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500},
+                    prior={"kind": "uniform_vicinity", "delta": -1},
+                    functional={"kind": "trace"},
+                ),
+                "config.prior",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    functional={"kind": "trace"}, monte_carlo={"posterior_draws": 50},
+                ),
+                "config.monte_carlo.posterior_draws",
+            ),
+            (
+                base_config(
+                    "coverage", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    selection={"s_minus": 1, "s_plus": 1},
+                    monte_carlo={"posterior_draws": 50, "replications": 100},
+                ),
+                "config.monte_carlo.posterior_draws",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    functional={"kind": "entry", "i": 7, "j": 0},
+                ),
+                "config.functional",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    functional={"kind": "entry", "i": -1, "j": 0},
+                ),
+                "config.functional",
+            ),
+            (
+                base_config(
+                    "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    functional={"kind": "frobnicate"},
+                ),
+                "config.functional.kind",
+            ),
+        ],
+        ids=[
+            "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
+            "functional-no-kind", "unknown-family", "negative-delta", "too-few-draws",
+            "coverage-too-few-draws", "entry-index-too-large", "entry-index-negative",
+            "unknown-functional-kind",
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert f": {path}" in capsys.readouterr().err
+
     def test_generic_prior_not_configurable(self, tmp_path):
         cfg = base_config(
             "flatness", prior={"kind": "generic"}, delta_grid=[0.01],
@@ -163,9 +257,10 @@ class TestExperimentCommands:
             blobs.append((out / "report.json").read_bytes())
         report = json.loads(blobs[0])
         assert set(report) == {
-            "budget", "delta_hat", "ks", "ks_resolution", "near_degenerate_draws",
+            "budget", "command", "delta_hat", "ks", "ks_resolution", "near_degenerate_draws",
             "precondition_ok",
         }
+        assert report["command"] == "bvm-projector"
         assert report["ks"] < 0.1
         # DKW half-width at alpha = 0.05 over the 2000 posterior draws
         assert report["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 4000.0))
@@ -201,6 +296,8 @@ class TestExperimentCommands:
         lines = (out / "flatness.csv").read_text().strip().splitlines()
         assert lines[0] == "delta,rho"
         assert len(lines) == 3
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows == [[1e-3, report["rho"][0]], [1e-2, report["rho"][1]]]
 
     def test_coverage_command(self, tmp_path):
         cfg = base_config(

@@ -74,20 +74,20 @@ class TestDeltaHat:
         spec = DatasetSpec(model, "gaussian", 500, seed=3)
         est = estimate_delta_hat(spec, replications=200)
         rate = np.sqrt((5 + np.log(500)) / 500)
-        assert rate / 3 <= est.radius <= 3 * rate
+        assert rate / 3 <= est <= 3 * rate
 
     def test_shrinks_with_n(self):
         model = identity_model(4)
         small = estimate_delta_hat(DatasetSpec(model, "gaussian", 500, seed=4), 150)
         big = estimate_delta_hat(DatasetSpec(model, "gaussian", 2000, seed=4), 150)
-        assert 0.35 <= big.radius / small.radius <= 0.7
+        assert 0.35 <= big / small <= 0.7
 
     def test_scale_free(self):
         base = identity_model(3)
         scaled = model_from_spectrum([7.5], [3])
         a = estimate_delta_hat(DatasetSpec(base, "gaussian", 300, seed=5), 60)
         b = estimate_delta_hat(DatasetSpec(scaled, "gaussian", 300, seed=5), 60)
-        assert a.radius == pytest.approx(b.radius, rel=1e-9)
+        assert a == pytest.approx(b, rel=1e-9)
 
 
 class TestDeltaTilde:
@@ -98,7 +98,7 @@ class TestDeltaTilde:
             model = identity_model(p)
             func = entry_functional(model, 0, 0)
             spec = DatasetSpec(model, "gaussian", n, seed=6)
-            radii.append(estimate_delta_tilde(spec, func, replications=100).radius)
+            radii.append(estimate_delta_tilde(spec, func, replications=100))
         rate = np.sqrt((1 + np.log(n)) / n)
         for r in radii:
             assert rate / 3 <= r <= 3 * rate
@@ -107,15 +107,15 @@ class TestDeltaTilde:
         model = identity_model(4)
         func = trace_functional(model)
         spec = DatasetSpec(model, "gaussian", 800, seed=7)
-        tilde = estimate_delta_tilde(spec, func, replications=100).radius
-        hat = estimate_delta_hat(spec, replications=100).radius
+        tilde = estimate_delta_tilde(spec, func, replications=100)
+        hat = estimate_delta_hat(spec, replications=100)
         assert hat / 2 <= tilde <= 2 * hat
 
     def test_kappa_inequality(self):
         model = model_from_spectrum([4.0, 1.0], [1, 2], rotation_seed=1)
         func = entry_functional(model, 0, 1)
         spec = DatasetSpec(model, "gaussian", 600, seed=8)
-        tilde = estimate_delta_tilde(spec, func, replications=80).radius
-        hat = estimate_delta_hat(spec, replications=80).radius
+        tilde = estimate_delta_tilde(spec, func, replications=80)
+        hat = estimate_delta_hat(spec, replications=80)
         kappa = 4.0
         assert tilde <= 1.5 * kappa * hat

@@ -177,8 +177,8 @@ class TestFlatness:
     def test_profile_shape(self):
         prior = default_inverse_wishart_prior(3)
         prof = flatness_profile(prior, self.model, [1e-3, 1e-2, 1e-1], 100, seed=0)
-        assert prof.rho_values.shape == (3,)
-        assert np.all(prof.rho_values >= 0)
+        assert prof.shape == (3,)
+        assert np.all(prof >= 0)
 
 
 class TestBudgets:

@@ -102,6 +102,51 @@ def test_no_unused_parameters(path):
     assert unused_parameters(source, exempt) == []
 
 
+def unread_dataclass_fields(sources) -> list[str]:
+    """``Class.field`` for each dataclass field whose name no attribute load
+    in any of the sources reads.
+
+    Matching is by name only, so a field shares its reads with every
+    attribute of the same name.
+    """
+    fields, loads = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                fields.extend(
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in loads)
+
+
+def test_field_checker_finds_unread_fields():
+    sources = [
+        "import dataclasses\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 1\n"
+        "class Plain:\n"
+        "    w: int\n",
+        "def f(a):\n"
+        "    a.z = 2\n"
+        "    return a.x\n",
+    ]
+    assert unread_dataclass_fields(sources) == ["A.y", "A.z"]
+
+
+def test_no_unread_dataclass_fields():
+    package = (ROOT / "src/covbvm").glob("*.py")
+    assert unread_dataclass_fields([path.read_text() for path in package]) == []
+
+
 def test_import_leaves_out_heavy_scipy_modules():
     # scipy.stats alone takes most of a second to import; the package needs
     # none of it, nor scipy.integrate

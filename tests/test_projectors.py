@@ -19,7 +19,7 @@ from covbvm import (
     sample_dataset,
     sample_posterior,
 )
-from covbvm.projectors import projector_from_entries
+from covbvm.projectors import projector_distances, projector_from_entries
 
 
 class TestProjectorFromEntries:
@@ -76,12 +76,27 @@ class TestProjectorStatistic:
         assert np.all(stat.law.values <= 2 * m_j * self.data.n)
 
     def test_empirical_projector_matches(self):
-        stat = posterior_projector_statistic(
-            self.model, self.sel, self.draws, self.data
-        )
-        phat = empirical_projector(self.data, self.model, self.sel)
-        assert np.allclose(stat.empirical_projector, phat)
-        assert np.allclose(phat @ phat, phat, atol=1e-12)
+        # the coverage command scores the ground truth with projector_distances;
+        # for the middle group of mults [1, 2, 3], eigh picks an arbitrary basis
+        # of the two-dimensional true eigenspace
+        repeated = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
+        cases = [
+            (self.model, self.sel, self.data),
+            (
+                repeated,
+                EigenspaceSelection(2, 2),
+                sample_dataset(DatasetSpec(repeated, "gaussian", 500, seed=9)),
+            ),
+        ]
+        for model, sel, data in cases:
+            phat = empirical_projector(data, model, sel)
+            assert np.allclose(phat @ phat, phat, atol=1e-12)
+            truth = model.group_projectors[sel.s_minus - 1]
+            (dist,), near_degenerate = projector_distances(
+                model, sel, model.sigma_star.entries[None], data
+            )
+            assert dist == pytest.approx(data.n * np.sum((truth - phat) ** 2), rel=1e-9)
+            assert near_degenerate == 0
 
     def test_statistic_matches_explicit_frobenius(self):
         # middle group of mults [1, 2, 3]: a two-dimensional eigenspace
@@ -122,7 +137,7 @@ class TestProjectorStatistic:
         stat = posterior_projector_statistic(
             self.model, self.sel, self.draws, self.data
         )
-        mixture = ChiSquareMixture(build_gamma(self.model, self.sel).diag_weights)
+        mixture = ChiSquareMixture(build_gamma(self.model, self.sel))
         ks = kolmogorov_distance(stat.law, mixture.cdf)
         assert ks < 0.08
         assert stat.law.values.mean() == pytest.approx(mixture.mean, rel=0.25)
@@ -174,7 +189,7 @@ class TestChiSquareMixture:
             (
                 build_gamma(
                     model_from_spectrum([10.0, 1.1, 1.0], [1, 1, 1]), EigenspaceSelection(3, 3)
-                ).diag_weights,
+                ),
                 False,
             ),
             # mu = [10, 2, 1], mult [5, 5, 190], selection (2, 2): weights 0.625
@@ -182,7 +197,7 @@ class TestChiSquareMixture:
             (
                 build_gamma(
                     model_from_spectrum([10.0, 2.0, 1.0], [5, 5, 190]), EigenspaceSelection(2, 2)
-                ).diag_weights,
+                ),
                 True,
             ),
         ],
@@ -251,7 +266,4 @@ class TestProjectorBvmCheck:
         assert report.precondition_ok
         assert report.budget.total > 0
         assert report.statistic.near_degenerate_count == 0
-        doc = report.to_json_dict()
-        assert doc["ks"] == report.ks_distance
-        assert doc["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 8000.0))
-        assert doc["budget"]["context"] == "projector"
+        assert report.budget.context == "projector"

@@ -152,17 +152,17 @@ class TestBuildGamma:
     def test_two_simple_groups(self):
         model = model_from_spectrum([2.0, 1.0], [1, 1])
         gamma = build_gamma(model, EigenspaceSelection(1, 1))
-        assert np.allclose(gamma.diag_weights, [4.0])
+        assert np.allclose(gamma, [4.0])
 
     def test_multiplicity_repeat(self):
         model = model_from_spectrum([3.0, 1.0], [2, 1])
         gamma = build_gamma(model, EigenspaceSelection(1, 1))
-        assert np.allclose(gamma.diag_weights, [1.5, 1.5])
+        assert np.allclose(gamma, [1.5, 1.5])
 
     def test_two_group_selection(self):
         model = model_from_spectrum([5.0, 2.0, 1.0], [1, 1, 1])
         gamma = build_gamma(model, EigenspaceSelection(1, 2))
-        assert np.allclose(sorted(gamma.diag_weights), [0.625, 4.0])
+        assert np.allclose(sorted(gamma), [0.625, 4.0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rotation_invariance_and_length(self, seed):
@@ -172,6 +172,6 @@ class TestBuildGamma:
             model_from_spectrum(mu, mults, rotation_seed=seed), EigenspaceSelection(1, 2)
         )
         m_j, p = 3, 5
-        assert len(base.diag_weights) == m_j * (p - m_j)
-        assert np.allclose(base.diag_weights, rotated.diag_weights)
-        assert np.all(base.diag_weights > 0)
+        assert len(base) == m_j * (p - m_j)
+        assert np.allclose(base, rotated)
+        assert np.all(base > 0)
