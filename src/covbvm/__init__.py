@@ -50,7 +50,6 @@ from .diagnostics import (
 )
 from .functionals import (
     FunctionalSpec,
-    StandardizedStatistic,
     eigenvalue_cluster_functional,
     entry_functional,
     evaluate,

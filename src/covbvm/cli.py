@@ -21,6 +21,7 @@ from scipy.special import ndtr
 from . import __version__
 from .datagen import DatasetSpec, derived_seed, sample_dataset
 from .diagnostics import (
+    MIN_CONTRACTION_DRAWS,
     MIN_LAW_SIZE,
     budget_functional,
     budget_posterior_independence,
@@ -40,6 +41,7 @@ from .posterior import (
     UniformVicinityPrior,
     default_sampler,
     localize_draws,
+    per_draw,
     sample_posterior,
 )
 from .projectors import posterior_projector_statistic, projector_bvm_check, projector_distances
@@ -164,18 +166,18 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     functional = functional_from_json(model, _require(cfg, "functional"))
     dataset = sample_dataset(data_spec)
     draws = sample_posterior(default_sampler(prior, dataset, seed=seed), _law_draws(mc))
-    stat = standardized_statistic(functional, draws, dataset)
-    ks = kolmogorov_distance(stat.law, ndtr)
+    law = standardized_statistic(functional, draws, dataset)
+    ks = kolmogorov_distance(law, ndtr)
     csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"standardized_{functional.kind} config={tag}", stat.law.values)
+    _write_csv(csv_path, f"standardized_{functional.kind} config={tag}", law.values)
     report = {
         "command": "bvm-functional",
         "ks": ks,
-        "ks_resolution": ks_resolution(len(stat.law)),
+        "ks_resolution": ks_resolution(len(law)),
         "n": data_spec.n,
         "posterior_draws": mc["posterior_draws"],
         "functional": functional.kind,
-        "normalizer": stat.normalizer,
+        "normalizer": functional.normalizer,
     }
     return report, ["statistic.csv"]
 
@@ -207,6 +209,12 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
     data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
     prior = _build_prior(_require(cfg, "prior"), model)
     grid = _require(cfg, "delta_grid")
+    draws = mc["posterior_draws"]
+    if draws < MIN_CONTRACTION_DRAWS:
+        raise ConfigError(
+            "config.monte_carlo.posterior_draws: contraction needs at least "
+            f"{MIN_CONTRACTION_DRAWS} per grid point, got {draws}"
+        )
     if model.dim / data_spec.n > 0.1:
         warnings.warn(
             f"p/n = {model.dim / data_spec.n:.3f} > 0.1; the contraction bound's "
@@ -214,7 +222,7 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
             RuntimeWarning,
         )
     radius = estimate_contraction_radius(
-        prior, data_spec, grid, mc["posterior_draws"], mc["replications"], seed=seed
+        prior, data_spec, grid, draws, mc["replications"], seed=seed
     )
     report = {
         "command": "contraction",
@@ -229,6 +237,8 @@ def _cmd_flatness(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     prior = _build_prior(_require(cfg, "prior"), model)
     grid = [float(x) for x in _require(cfg, "delta_grid")]
+    if any(d <= 0 for d in grid):
+        raise ConfigError(f"config.delta_grid: flatness radii must be positive, got {grid}")
     rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
     save_flatness_csv(os.path.join(out_dir, "flatness.csv"), grid, rho)
     report = {"command": "flatness", "delta_grid": grid, "rho": [float(x) for x in rho]}
@@ -307,7 +317,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
             default_sampler(prior, dataset, seed=derived_seed(seed, k)), draws_per_rep
         )
         if functional is not None:
-            vals = evaluate_batch(functional, draws.matrices)
+            vals = per_draw(lambda block: evaluate_batch(functional, block), draws)
             lo, hi = _posterior_interval(vals, level)
             hits += lo <= truth <= hi
             widths[k] = hi - lo
@@ -323,6 +333,8 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
         "nominal_level": level,
         "replications": reps,
         "empirical_coverage": hits / reps,
+        # Hoeffding's bound on a proportion of R replications has the DKW form
+        "coverage_resolution": ks_resolution(reps),
         "interval_widths": {
             "mean": float(np.mean(widths)),
             "median": float(np.median(widths)),
@@ -341,9 +353,11 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
         return _require(doc, key, "config.budget")
 
     if context == "posterior_independence":
-        budget = budget_posterior_independence(
-            float(field("rho")), float(field("rho_w")), int(field("n"))
-        )
+        rho, rho_w, n = float(field("rho")), float(field("rho_w")), int(field("n"))
+        try:
+            budget = budget_posterior_independence(rho, rho_w, n)
+        except ValueError as exc:
+            raise ConfigError(f"config.budget: {exc}") from exc
     elif context == "functional":
         functional = functional_from_json(model, _require(cfg, "functional"))
         budget = budget_functional(

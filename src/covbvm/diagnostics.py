@@ -19,12 +19,15 @@ from .posterior import (
     PosteriorDraws,
     PriorSpec,
     default_sampler,
+    per_draw,
     sample_posterior,
 )
 from .spd import relative_deviation, spectral_norm, sym
 from .spectral import EigenspaceSelection, SpectralModel, build_gamma, selection_gap
 
 MIN_LAW_SIZE = 100
+# the fewest posterior draws per grid point that estimate_contraction_radius takes
+MIN_CONTRACTION_DRAWS = 1000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,10 +70,13 @@ def kolmogorov_distance(a: EmpiricalLaw, b) -> float:
 
 
 def ks_resolution(draws: int) -> float:
-    """DKW half-width sqrt(log(2/alpha) / (2M)) at alpha = 0.05: the KS distance
-    of M i.i.d. draws to their own law exceeds it with probability at most
-    alpha.  The reference laws are exact, so the posterior draws are the only
-    Monte Carlo source in a reported KS."""
+    """Half-width sqrt(log(2/alpha) / (2M)) at alpha = 0.05.
+
+    By the DKW inequality, the KS distance of M i.i.d. draws to their own law
+    exceeds it with probability at most alpha; the reference laws are exact,
+    so the posterior draws are the only Monte Carlo source in a reported KS.
+    By Hoeffding's inequality, so does the error of a proportion over M
+    independent trials, such as an empirical coverage over M replications."""
     return math.sqrt(math.log(2.0 / 0.05) / (2.0 * draws))
 
 
@@ -123,8 +129,8 @@ def estimate_contraction_radius(
     delta_grid = np.asarray(delta_grid, dtype=np.float64)
     if np.any(np.diff(delta_grid) <= 0):
         raise ValueError("delta grid must be increasing")
-    if draws_per_point < 1000:
-        raise ValueError("need at least 1000 draws per grid point")
+    if draws_per_point < MIN_CONTRACTION_DRAWS:
+        raise ValueError(f"need at least {MIN_CONTRACTION_DRAWS} draws per grid point")
     n = data_spec.n
     model = data_spec.model
     level = 1.0 - 1.0 / n
@@ -133,7 +139,7 @@ def estimate_contraction_radius(
         dataset = sample_dataset(data_spec, seed_branch=900_000 + k)
         sampler = default_sampler(prior, dataset, seed=derived_seed(seed, k))
         draws = sample_posterior(sampler, draws_per_point)
-        dev = relative_deviation(draws.matrices, model.sigma_star)
+        dev = per_draw(lambda block: relative_deviation(block, model.sigma_star), draws)
         mass = np.mean(dev[:, None] <= delta_grid[None, :], axis=0)
         success += mass >= level
     needed = math.ceil(level * replications)

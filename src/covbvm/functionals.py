@@ -16,6 +16,7 @@ from .posterior import (
     PosteriorDraws,
     PriorSpec,
     default_sampler,
+    per_draw,
     sample_posterior,
 )
 from .spd import SpdMatrix, sym
@@ -172,26 +173,20 @@ def linearization_residual(
 # Standardized statistics
 
 
-@dataclasses.dataclass(frozen=True)
-class StandardizedStatistic:
-    law: EmpiricalLaw
-    normalizer: float
-
-
 def standardized_statistic(
     functional: FunctionalSpec,
     draws: PosteriorDraws | np.ndarray,
     data: Dataset,
-) -> StandardizedStatistic:
-    """Centered and scaled law of the functional over posterior draws.
+) -> EmpiricalLaw:
+    """Centered and scaled law of the functional over posterior draws, which
+    are reduced block by block.
 
-    The normalizer uses the ground-truth covariance, as in the limit theorem.
+    The normalizer is ``functional.normalizer``, which uses the ground-truth
+    covariance, as in the limit theorem.
     """
-    mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
-    norm = functional.normalizer
     center = evaluate(functional, data.sample_cov)
-    values = math.sqrt(data.n) * (evaluate_batch(functional, mats) - center) / norm
-    return StandardizedStatistic(EmpiricalLaw(values), norm)
+    stat = per_draw(lambda block: evaluate_batch(functional, block), draws)
+    return EmpiricalLaw(math.sqrt(data.n) * (stat - center) / functional.normalizer)
 
 
 def rank_adjusted_pipeline(
@@ -200,7 +195,7 @@ def rank_adjusted_pipeline(
     low_dim_prior: PriorSpec,
     count: int,
     seed: int = 0,
-) -> StandardizedStatistic:
+) -> EmpiricalLaw:
     """Project the data through the functional's eigenbasis and run the
     low-dimensional posterior; the standardized law matches the full-space one.
 
@@ -220,10 +215,8 @@ def rank_adjusted_pipeline(
     sampler = default_sampler(low_dim_prior, reduced, seed=seed)
     xi_draws = sample_posterior(sampler, count)
     center = float(np.sum(np.diag(functional.psi) * np.diag(u.T @ data.sample_cov.entries @ u)))
-    stat = np.einsum("i,mii->m", functional.psi, xi_draws.matrices)
-    norm = functional.normalizer
-    values = math.sqrt(data.n) * (stat - center) / norm
-    return StandardizedStatistic(EmpiricalLaw(values), norm)
+    stat = per_draw(lambda block: np.einsum("i,mii->m", functional.psi, block), xi_draws)
+    return EmpiricalLaw(math.sqrt(data.n) * (stat - center) / functional.normalizer)
 
 
 def reduced_inverse_wishart_prior(

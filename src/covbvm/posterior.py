@@ -16,6 +16,15 @@ uniform prior on a
 vicinity is sampled by exact rejection: draws from the flat-likelihood
 inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
 inside the vicinity.
+
+Posterior draws are consumed in blocks of at most ``_CHUNK`` = 4096 matrices.
+Exact conjugate draws are streamed: each pass over ``PosteriorDraws.blocks()``
+draws them afresh from the sampler's seed, one ``sample_inverse_wishart`` call
+per block on one shared generator, so a statistic that reduces each block to
+scalars never holds the (M, p, p) stack.  ``PosteriorDraws.matrices`` builds
+that stack from the same blocks, byte-identical, for the consumers that need
+every draw at once.  The Metropolis and rejection samplers run when
+``sample_posterior`` is called, and their blocks are slices of the stored draws.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import lapack
@@ -185,7 +194,9 @@ def _tril_inv_inplace(t: np.ndarray) -> None:
     np.negative(lower, out=lower)
 
 
-def sample_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int) -> np.ndarray:
+def sample_inverse_wishart(
+    scale: SpdMatrix, dof: float, count: int, seed: int | np.random.Generator
+) -> np.ndarray:
     """i.i.d. draws from the inverse Wishart with the given scale and dof.
 
     The precision W ~ Wishart(scale^-1, dof) is T T^T with T = L B, where L is
@@ -193,7 +204,10 @@ def sample_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int) 
     triangular.  So the draw W^-1 = X^T X with X = T^-1, inverted by triangular
     block recursion; W itself is never formed.  Draws are made in blocks of
     ``_CHUNK``, which fixes the RNG stream for a seed, and written straight into
-    the exactly symmetric (count, p, p) output.
+    the exactly symmetric (count, p, p) output.  ``seed`` is an int, for the
+    stream ``derived_rng(seed)``, or a generator that the call draws from and
+    advances; calls of at most ``_CHUNK`` draws each on one generator continue
+    the stream of one call for their total count.
     """
     p = scale.dim
     if dof <= p - 1:
@@ -203,7 +217,7 @@ def sample_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int) 
     chol = np.linalg.cholesky(sym(scale.inv()))
     df = dof - np.arange(p)
     out = np.empty((count, p, p))
-    rng = derived_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
     for start in range(0, count, _CHUNK):
         block = out[start : start + _CHUNK]
         x = chol @ _bartlett_factor(df, len(block), rng)  # T = L B, then X = T^-1
@@ -260,13 +274,61 @@ class PosteriorSampler:
             )
 
 
-@dataclasses.dataclass(frozen=True)
 class PosteriorDraws:
-    matrices: np.ndarray  # (M, p, p)
-    warnings: tuple[str, ...] = ()
+    """Posterior draws, consumed in blocks of at most ``_CHUNK`` matrices.
+
+    ``stream()`` yields the blocks afresh, the same on every call.
+    ``matrices`` builds the (M, p, p) stack from them once; after that, and
+    for draws made ``stored``, blocks are slices of the stack.
+    """
+
+    def __init__(
+        self,
+        stream: Callable[[], Iterator[np.ndarray]] | None,
+        count: int,
+        warnings: tuple[str, ...] = (),
+    ):
+        self._stream = stream
+        self._count = count
+        self._stack = None
+        self.warnings = warnings
+
+    @classmethod
+    def stored(cls, matrices: np.ndarray, warnings: tuple[str, ...] = ()) -> PosteriorDraws:
+        """Draws already held as an (M, p, p) stack."""
+        draws = cls(None, len(matrices), warnings)
+        draws._stack = matrices
+        return draws
 
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return self._count
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        if self._stack is None:
+            return self._stream()
+        return (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (M, p, p) stack of all draws."""
+        if self._stack is None:
+            stack = None
+            for start, block in zip(range(0, self._count, _CHUNK), self._stream()):
+                if stack is None:
+                    stack = np.empty((self._count, *block.shape[1:]))
+                stack[start : start + len(block)] = block
+            self._stack = stack
+        return self._stack
+
+
+def draw_blocks(draws: PosteriorDraws | np.ndarray):
+    """The blocks of posterior draws; a stack already in memory is one block."""
+    return draws.blocks() if isinstance(draws, PosteriorDraws) else (np.asarray(draws),)
+
+
+def per_draw(fn: Callable[[np.ndarray], np.ndarray], draws: PosteriorDraws | np.ndarray):
+    """fn's values over posterior draws, one per matrix, computed block by block."""
+    return np.concatenate([fn(block) for block in draw_blocks(draws)])
 
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
@@ -278,8 +340,13 @@ def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
 
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
-    mats = sample_inverse_wishart(scale, dof, count, sampler.seed)
-    return PosteriorDraws(mats)
+
+    def stream():
+        rng = derived_rng(sampler.seed)
+        for start in range(0, count, _CHUNK):
+            yield sample_inverse_wishart(scale, dof, min(_CHUNK, count - start), rng)
+
+    return PosteriorDraws(stream, count)
 
 
 class _CholeskyMap:
@@ -376,7 +443,7 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
         msg = f"Metropolis acceptance rate {rate:.3f} outside [0.05, 0.95]"
         warnings.warn(msg, PoorMixing)
         notes.append(msg)
-    return PosteriorDraws(mats[:kept], tuple(notes))
+    return PosteriorDraws.stored(mats[:kept], tuple(notes))
 
 
 def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
@@ -406,7 +473,7 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
                 f"acceptance rate {n_kept / proposed:.2e} below 1e-4 "
                 f"after {proposed} proposals"
             )
-    return PosteriorDraws(np.concatenate(kept)[:count])
+    return PosteriorDraws.stored(np.concatenate(kept)[:count])
 
 
 def sample_posterior(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
@@ -456,7 +523,8 @@ def localized_posterior_mass(
         return 0.0
     draws = sample_posterior(sampler, count)
     center = sampler.data.spec.model.sigma_star
-    return float(np.mean(vicinity_mask(draws.matrices, center, delta_bar)))
+    inside = per_draw(lambda block: vicinity_mask(block, center, delta_bar), draws)
+    return float(np.mean(inside))
 
 
 def localize_draws(
@@ -464,4 +532,4 @@ def localize_draws(
 ) -> PosteriorDraws:
     """Restrict draws to the vicinity (the Monte Carlo localized posterior)."""
     mask = vicinity_mask(draws.matrices, center, delta_bar)
-    return PosteriorDraws(draws.matrices[mask], draws.warnings)
+    return PosteriorDraws.stored(draws.matrices[mask], draws.warnings)

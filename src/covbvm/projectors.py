@@ -16,7 +16,13 @@ from .diagnostics import (
     budget_projector,
     kolmogorov_distance,
 )
-from .posterior import PosteriorDraws, PriorSpec, default_sampler, sample_posterior
+from .posterior import (
+    PosteriorDraws,
+    PriorSpec,
+    default_sampler,
+    draw_blocks,
+    sample_posterior,
+)
 from .spd import norms
 from .spectral import (
     EigenspaceSelection,
@@ -100,12 +106,13 @@ def posterior_projector_statistic(
     dataset: Dataset,
 ) -> ProjectorStatistic:
     """Law of the projector distances (see projector_distances) over
-    posterior draws.  Draws whose own spectral gap at the selection boundary
-    falls below 1e-6 are kept (the index sets are used verbatim) but counted
-    and reported.
+    posterior draws, which are reduced block by block.  Draws whose own
+    spectral gap at the selection boundary falls below 1e-6 are kept (the
+    index sets are used verbatim) but counted and reported.
     """
-    mats = draws.matrices if isinstance(draws, PosteriorDraws) else np.asarray(draws)
-    values, near_degenerate = projector_distances(model, sel, mats, dataset)
+    parts = [projector_distances(model, sel, block, dataset) for block in draw_blocks(draws)]
+    values = np.concatenate([block_values for block_values, _ in parts])
+    near_degenerate = sum(count for _, count in parts)
     return ProjectorStatistic(EmpiricalLaw(values), near_degenerate)
 
 

@@ -141,7 +141,7 @@ def test_criterion_03_functional_bvm():
         data = sample_dataset(DatasetSpec(model, "gaussian", n, seed=9))
         draws = sample_posterior(default_sampler(prior, data, seed=n), m)
         stat = standardized_statistic(func, draws, data)
-        ks_by_n[n] = kolmogorov_distance(stat.law, scipy.stats.norm.cdf)
+        ks_by_n[n] = kolmogorov_distance(stat, scipy.stats.norm.cdf)
     seq = [ks_by_n[n] for n in (500, 2000, 8000)]
     monotone = all(seq[i + 1] <= seq[i] + 0.01 for i in range(2))
     elapsed = time.perf_counter() - start
@@ -254,10 +254,10 @@ def test_criterion_07_rank_adjusted_pipeline():
         reduced = rank_adjusted_pipeline(
             func, data, reduced_inverse_wishart_prior(func, prior), m, seed=23
         )
-        ks_full[p] = kolmogorov_distance(full_stat.law, reduced.law)
+        ks_full[p] = kolmogorov_distance(full_stat, reduced)
         ks_gauss[p] = max(
-            kolmogorov_distance(reduced.law, scipy.stats.norm.cdf),
-            kolmogorov_distance(full_stat.law, scipy.stats.norm.cdf),
+            kolmogorov_distance(reduced, scipy.stats.norm.cdf),
+            kolmogorov_distance(full_stat, scipy.stats.norm.cdf),
         )
     agree = all(v <= 0.02 for v in ks_full.values())
     gauss = all(v <= 0.05 for v in ks_gauss.values())

@@ -110,6 +110,24 @@ class TestValidation:
             ),
             (
                 base_config(
+                    "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    delta_grid=[0.1, 0.2], monte_carlo={"posterior_draws": 999},
+                ),
+                "config.monte_carlo.posterior_draws",
+            ),
+            (
+                base_config("flatness", prior={"kind": "inverse_wishart"}, delta_grid=[0.1, 0.0]),
+                "config.delta_grid",
+            ),
+            (
+                base_config(
+                    "budget",
+                    budget={"context": "posterior_independence", "rho": -0.1, "rho_w": 0.2, "n": 50},
+                ),
+                "config.budget",
+            ),
+            (
+                base_config(
                     "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
                     functional={"kind": "entry", "i": 7, "j": 0},
                 ),
@@ -133,7 +151,8 @@ class TestValidation:
         ids=[
             "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
             "functional-no-kind", "unknown-family", "negative-delta", "too-few-draws",
-            "coverage-too-few-draws", "entry-index-too-large", "entry-index-negative",
+            "coverage-too-few-draws", "contraction-too-few-draws", "flatness-zero-radius",
+            "budget-negative-rho", "entry-index-too-large", "entry-index-negative",
             "unknown-functional-kind",
         ],
     )
@@ -355,6 +374,8 @@ class TestExperimentCommands:
             "nominal_level": 0.9,
             "replications": 100,
             "empirical_coverage": coverage,
+            # Hoeffding half-width at alpha = 0.05 over 100 replications
+            "coverage_resolution": pytest.approx(math.sqrt(math.log(40.0) / 200.0)),
             "warnings": notes,
         }
 

@@ -30,6 +30,7 @@ from covbvm.datagen import derived_rng
 from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
 from covbvm.diagnostics import default_statistic_battery
 from covbvm.posterior import (
+    _CHUNK,
     _CholeskyMap,
     _log_target,
     _tril_inv_inplace,
@@ -218,6 +219,27 @@ class TestInverseWishartKernel:
         z = stats.norm.isf(1e-4 / (p * (p + 1)))
         band = z * np.sqrt(var / self.COUNT)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= band)
+
+
+class TestDrawStream:
+    def test_blocks_continue_one_call(self):
+        # two full blocks and a partial one, drawn by calls that share a generator
+        count = 2 * _CHUNK + 17
+        model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
+        sampler = default_sampler(default_inverse_wishart_prior(4), data, seed=5)
+        scale, dof = conjugate_posterior_params(sampler.prior, data)
+        whole = sample_inverse_wishart(scale, dof, count, seed=5).tobytes()
+        draws = sample_posterior(sampler, count)
+        assert len(draws) == count
+        blocks = list(draws.blocks())
+        assert [len(block) for block in blocks] == [_CHUNK, _CHUNK, 17]
+        assert np.concatenate(blocks).tobytes() == whole
+        # a second pass draws the same blocks again
+        assert np.concatenate(list(draws.blocks())).tobytes() == whole
+        assert draws.matrices.tobytes() == whole
+        # after materializing, blocks are slices of the stack
+        assert np.concatenate(list(draws.blocks())).tobytes() == whole
 
 
 class TestSamplePosterior:

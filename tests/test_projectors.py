@@ -8,6 +8,7 @@ from covbvm import (
     ChiSquareMixture,
     DatasetSpec,
     EigenspaceSelection,
+    PosteriorDraws,
     build_gamma,
     default_inverse_wishart_prior,
     default_sampler,
@@ -126,6 +127,23 @@ class TestProjectorStatistic:
         for sel in (EigenspaceSelection(1, 1), EigenspaceSelection(2, 2)):
             stat = posterior_projector_statistic(model, sel, draws, data)
             assert np.all(stat.law.values <= 1e-20)
+
+    def test_blocks_match_whole_stack(self):
+        # 5000 draws come in blocks of 4096 and 904; an array is one block
+        blocked = posterior_projector_statistic(self.model, self.sel, self.draws, self.data)
+        mats = self.draws.matrices
+        whole = posterior_projector_statistic(self.model, self.sel, mats, self.data)
+        assert blocked.law.values.tobytes() == whole.law.values.tobytes()
+        assert blocked.near_degenerate_count == whole.near_degenerate_count == 0
+        # every eigenvalue gap of the identity is 0
+        mats = mats.copy()
+        mats[::7] = np.eye(3)
+        blocked = posterior_projector_statistic(
+            self.model, self.sel, PosteriorDraws.stored(mats), self.data
+        )
+        whole = posterior_projector_statistic(self.model, self.sel, mats, self.data)
+        assert blocked.law.values.tobytes() == whole.law.values.tobytes()
+        assert blocked.near_degenerate_count == whole.near_degenerate_count == len(mats[::7])
 
     def test_well_separated_spectrum_has_no_degenerates(self):
         stat = posterior_projector_statistic(
