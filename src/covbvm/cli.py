@@ -137,6 +137,14 @@ def _law_draws(mc: dict) -> int:
     return draws
 
 
+def _delta_grid(cfg: dict) -> list[float]:
+    """The increasing grid of contraction radii."""
+    grid = [float(x) for x in _require(cfg, "delta_grid")]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"config.delta_grid: radii must be increasing, got {grid}")
+    return grid
+
+
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -150,9 +158,10 @@ def _write_csv(path, header: str, values) -> None:
 
 
 def _write_json(path, doc) -> None:
+    # a non-finite number raises before the file is opened: JSON has none
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
     prior = _build_prior(_require(cfg, "prior"), model)
-    grid = _require(cfg, "delta_grid")
+    grid = _delta_grid(cfg)
     draws = mc["posterior_draws"]
     if draws < MIN_CONTRACTION_DRAWS:
         raise ConfigError(
@@ -227,7 +236,7 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
     report = {
         "command": "contraction",
         "radius": radius if math.isfinite(radius) else "inf",
-        "delta_grid": list(map(float, grid)),
+        "delta_grid": grid,
         "replications": mc["replications"],
     }
     return report, []
@@ -254,11 +263,17 @@ def _cmd_bridge(cfg, model, out_dir, tag, seed):
     n = data_spec.n
     delta_bar = cfg.get("delta_bar")
     if delta_bar is None:
-        grid = _require(cfg, "delta_grid")
         delta_bar = estimate_contraction_radius(
-            conj_prior, data_spec, grid, max(1000, mc["posterior_draws"] // 4),
+            conj_prior, data_spec, _delta_grid(cfg), max(1000, mc["posterior_draws"] // 4),
             min(mc["replications"], 20), seed=derived_seed(seed, 0),
         )
+        if not math.isfinite(delta_bar):
+            raise ConfigError(
+                "config.delta_grid: no grid radius holds the mass; widen the grid "
+                "or give delta_bar"
+            )
+    elif not 0 < float(delta_bar) < math.inf:
+        raise ConfigError(f"config.delta_bar: must be positive and finite, got {delta_bar}")
     dataset = sample_dataset(data_spec)
     conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), mc["posterior_draws"])
     localized = localize_draws(conj, model.sigma_star, delta_bar)
@@ -352,8 +367,11 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
     def field(key):
         return _require(doc, key, "config.budget")
 
+    n = int(field("n"))
+    if n < 1:
+        raise ConfigError(f"config.budget.n: must be positive, got {n}")
     if context == "posterior_independence":
-        rho, rho_w, n = float(field("rho")), float(field("rho_w")), int(field("n"))
+        rho, rho_w = float(field("rho")), float(field("rho_w"))
         try:
             budget = budget_posterior_independence(rho, rho_w, n)
         except ValueError as exc:
@@ -363,7 +381,7 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
         budget = budget_functional(
             model,
             functional,
-            int(field("n")),
+            n,
             float(field("delta_w")),
             float(field("delta_hat")),
             float(field("delta_tilde")),
@@ -373,7 +391,7 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
         budget = budget_projector(
             model,
             _build_selection(cfg),
-            int(field("n")),
+            n,
             model.dim,
             float(field("delta_hat")),
             float(doc.get("g_norm", 0.0)),

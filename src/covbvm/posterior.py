@@ -5,15 +5,18 @@ inverse Wishart prior the posterior is conjugate and sampled exactly: the
 Wishart precision is T T^T with T = L B lower triangular (L the Cholesky factor
 of the inverse scale, B the Bartlett factor), so each draw is X^T X with
 X = T^-1, found by triangular block inversion without forming or inverting the
-full precision.  Arbitrary density-evaluable priors go through a random-walk
-Metropolis chain on the Cholesky factor; its theta -> Sigma map and log-Jacobian
-are set up once per chain.  The Gaussian-type densities it evaluates (the
-likelihood and the inverse Wishart prior) factor Sigma = L L^T with LAPACK
-``dpotrf`` and find each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one
-triangular ``dtrtrs`` solve against a cached Cholesky factor F, called directly
-because numpy's ``linalg`` overhead dwarfs the work on small matrices.  A
-uniform prior on a
-vicinity is sampled by exact rejection: draws from the flat-likelihood
+full precision.  That algebra runs on cache-sized sub-blocks of each block of
+draws, so the sampler holds its output, one block's normals and three
+sub-block buffers, not several block-sized arrays.
+
+Arbitrary density-evaluable priors go through a random-walk Metropolis chain
+on the Cholesky factor; its theta -> Sigma map and log-Jacobian are set up once
+per chain.  The Gaussian-type densities it evaluates (the likelihood and the
+inverse Wishart prior) factor Sigma = L L^T with LAPACK ``dpotrf`` and find
+each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one triangular
+``dtrtrs`` solve against a cached Cholesky factor F, called directly because
+numpy's ``linalg`` overhead dwarfs the work on small matrices.  A uniform prior
+on a vicinity is sampled by exact rejection: draws from the flat-likelihood
 inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
 inside the vicinity.
 
@@ -48,6 +51,9 @@ from .errors import (
 from .spd import SpdMatrix, relative_deviation, sym
 
 _CHUNK = 4096
+# the inverse-Wishart kernel's algebra runs on sub-blocks of about this many
+# bytes of (p, p) matrices, so that each stays in cache
+_SUB_BYTES = 1 << 20
 # lower-triangular blocks up to this size are inverted by LAPACK directly
 _TRI_LEAF = 8
 
@@ -160,21 +166,6 @@ def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
 # Inverse Wishart sampling (Bartlett factor, triangular inverse)
 
 
-def _bartlett_factor(df: np.ndarray, count: int, rng) -> np.ndarray:
-    """Lower-triangular B with B B^T ~ Wishart(I, dof), as a (count, p, p) stack.
-
-    ``df[i]`` is dof - i.  The strict lower triangle is standard normal, drawn
-    in ``np.tril_indices`` (row-major) order; the diagonal is sqrt(chi2(df)).
-    """
-    p = len(df)
-    b = np.zeros((count, p, p))
-    z = rng.standard_normal((count, p * (p - 1) // 2))
-    for i in range(1, p):
-        b[:, i, :i] = z[:, i * (i - 1) // 2 : i * (i + 1) // 2]
-    b.reshape(count, p * p)[:, :: p + 1] = np.sqrt(rng.chisquare(df, size=(count, p)))
-    return b
-
-
 def _tril_inv_inplace(t: np.ndarray) -> None:
     """Invert a (count, p, p) stack of lower-triangular matrices in place.
 
@@ -201,13 +192,24 @@ def sample_inverse_wishart(
 
     The precision W ~ Wishart(scale^-1, dof) is T T^T with T = L B, where L is
     the Cholesky factor of scale^-1 and B the Bartlett factor, both lower
-    triangular.  So the draw W^-1 = X^T X with X = T^-1, inverted by triangular
-    block recursion; W itself is never formed.  Draws are made in blocks of
-    ``_CHUNK``, which fixes the RNG stream for a seed, and written straight into
-    the exactly symmetric (count, p, p) output.  ``seed`` is an int, for the
-    stream ``derived_rng(seed)``, or a generator that the call draws from and
-    advances; calls of at most ``_CHUNK`` draws each on one generator continue
-    the stream of one call for their total count.
+    triangular: B's strict lower triangle is standard normal and its diagonal
+    is sqrt(chi2(dof - i)).  So the draw W^-1 = X^T X with X = T^-1, inverted by
+    triangular block recursion; W itself is never formed.
+
+    Each block of ``_CHUNK`` draws takes its strict-lower normals (row-major
+    ``np.tril_indices`` order) and then its chi-square diagonal from the
+    stream, which fixes the draws for a seed.  The algebra then runs over
+    sub-blocks of max(1, ``_SUB_BYTES`` // 8p^2) draws, small enough to stay
+    in cache, in three reused buffers (B, X and A = X^T X), and writes the
+    exactly symmetric 0.5 (A + A^T) straight into the (count, p, p) output.
+    Besides the output, the call holds one block's normals, about half a
+    block, and the three sub-block buffers: one 4096-draw call at p = 50
+    peaks at about 1.57 times its output's bytes.
+
+    ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
+    that the call draws from and advances; calls of at most ``_CHUNK`` draws
+    each on one generator continue the stream of one call for their total
+    count.
     """
     p = scale.dim
     if dof <= p - 1:
@@ -216,16 +218,29 @@ def sample_inverse_wishart(
         raise ValueError("count must be positive")
     chol = np.linalg.cholesky(sym(scale.inv()))
     df = dof - np.arange(p)
+    il, jl = np.tril_indices(p, -1)
+    lower, diag = il * p + jl, np.arange(p) * (p + 1)
+    sub = min(max(1, _SUB_BYTES // (8 * p * p)), count, _CHUNK)
+    bart = np.zeros((sub, p, p))  # its upper triangle stays zero
+    x, xtx = np.empty_like(bart), np.empty_like(bart)
+    bart_flat = bart.reshape(sub, p * p)
+    normals = np.empty((min(count, _CHUNK), len(lower)))
     out = np.empty((count, p, p))
     rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
     for start in range(0, count, _CHUNK):
-        block = out[start : start + _CHUNK]
-        x = chol @ _bartlett_factor(df, len(block), rng)  # T = L B, then X = T^-1
-        _tril_inv_inplace(x)
-        np.matmul(x.swapaxes(1, 2), x, out=block)
-        del x  # before the block-sized copy that the in-place transpose-add makes
-        block += block.swapaxes(1, 2)
-        block *= 0.5
+        k = min(_CHUNK, count - start)
+        z = rng.standard_normal(out=normals[:k])
+        chi = np.sqrt(rng.chisquare(df, size=(k, p)))
+        for s in range(0, k, sub):
+            m = min(sub, k - s)
+            bart_flat[:m, lower] = z[s : s + m]
+            bart_flat[:m, diag] = chi[s : s + m]
+            t = np.matmul(chol, bart[:m], out=x[:m])  # T = L B, then X = T^-1
+            _tril_inv_inplace(t)
+            w = np.matmul(t.swapaxes(1, 2), t, out=xtx[:m])
+            block = out[start + s : start + s + m]
+            np.add(w, w.swapaxes(1, 2), out=block)
+            block *= 0.5
     return out
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from covbvm.cli import config_hash, main, run
+from covbvm.cli import _write_json, config_hash, main, run
 from covbvm.errors import ConfigError, LowDraws
 
 
@@ -147,19 +147,68 @@ class TestValidation:
                 ),
                 "config.functional.kind",
             ),
+            (
+                base_config(
+                    "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                    delta_grid=[0.2, 0.1],
+                ),
+                "config.delta_grid",
+            ),
+            (base_config("bridge", data={"n": 500}, delta_grid=[0.2, 0.1]), "config.delta_grid"),
+            (
+                # no radius of the grid holds posterior mass 1 - 1/n
+                base_config(
+                    "bridge", data={"n": 500}, delta_grid=[0.001],
+                    monte_carlo={"posterior_draws": 1000, "replications": 2},
+                ),
+                "config.delta_grid",
+            ),
+            (base_config("bridge", data={"n": 500}, delta_bar=0.0), "config.delta_bar"),
+            (
+                base_config(
+                    "budget",
+                    budget={"context": "posterior_independence", "rho": 0.1, "rho_w": 0.2, "n": 0},
+                ),
+                "config.budget.n",
+            ),
+            (
+                base_config(
+                    "budget", functional={"kind": "trace"},
+                    budget={
+                        "context": "functional", "n": 0, "delta_w": 0.1, "delta_hat": 0.05,
+                        "delta_tilde": 0.02,
+                    },
+                ),
+                "config.budget.n",
+            ),
+            (
+                base_config(
+                    "budget", selection={"s_minus": 1, "s_plus": 1}, l_star_j=1.0,
+                    budget={"context": "projector", "n": -5, "delta_hat": 0.1},
+                ),
+                "config.budget.n",
+            ),
         ],
         ids=[
             "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
             "functional-no-kind", "unknown-family", "negative-delta", "too-few-draws",
             "coverage-too-few-draws", "contraction-too-few-draws", "flatness-zero-radius",
             "budget-negative-rho", "entry-index-too-large", "entry-index-negative",
-            "unknown-functional-kind",
+            "unknown-functional-kind", "contraction-decreasing-grid", "bridge-decreasing-grid",
+            "bridge-grid-exhausted", "bridge-zero-radius", "budget-independence-zero-n",
+            "budget-functional-zero-n", "budget-projector-negative-n",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):
         config = write_config(tmp_path, cfg)
         assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f": {path}" in capsys.readouterr().err
+
+    def test_report_refuses_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"delta_bar": math.inf})
+        assert not path.exists()
 
     def test_generic_prior_not_configurable(self, tmp_path):
         cfg = base_config(

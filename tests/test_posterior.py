@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from covbvm.posterior import (
     conjugate_posterior_params,
     vicinity_mask,
 )
-from covbvm.spd import spectral_norm
+from covbvm.spd import spectral_norm, sym
 
 
 def dataset_with_cov(cov, n):
@@ -172,6 +173,43 @@ def reference_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: in
     return np.concatenate(blocks)
 
 
+def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
+    """The kernel's Bartlett algebra, one whole 4096-draw block at a time.
+
+    Draws the block's strict-lower normals and chi-square diagonal, then forms
+    T = L B, inverts it by the same 2x2 block recursion down to LAPACK leaves
+    of size 8, and symmetrizes X^T X, each stage on the whole block.  Cache
+    blocking must reproduce these draws bit for bit.
+    """
+
+    def tril_inv(t):
+        q = t.shape[-1]
+        if q <= 8:
+            t[...] = np.linalg.inv(t)
+            return
+        h = q // 2
+        tril_inv(t[:, :h, :h])
+        tril_inv(t[:, h:, h:])
+        np.matmul(t[:, h:, h:] @ t[:, h:, :h], t[:, :h, :h], out=t[:, h:, :h])
+        np.negative(t[:, h:, :h], out=t[:, h:, :h])
+
+    p = scale.dim
+    chol = np.linalg.cholesky(sym(scale.inv()))
+    il, jl = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    blocks = []
+    for start in range(0, count, 4096):
+        m = min(4096, count - start)
+        b = np.zeros((m, p, p))
+        b[:, il, jl] = rng.standard_normal((m, len(il)))
+        b[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(m, p)))
+        x = chol @ b
+        tril_inv(x)
+        w = x.swapaxes(1, 2) @ x
+        blocks.append((w + w.swapaxes(1, 2)) * 0.5)
+    return np.concatenate(blocks)
+
+
 class TestInverseWishartKernel:
     """The triangular Bartlett kernel against LAPACK references."""
 
@@ -219,6 +257,35 @@ class TestInverseWishartKernel:
         z = stats.norm.isf(1e-4 / (p * (p + 1)))
         band = z * np.sqrt(var / self.COUNT)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= band)
+
+
+    @pytest.mark.parametrize("p", [3, 20, 50])
+    def test_bitwise_equal_to_whole_block_algebra(self, p):
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        # a full block and a ragged one; at p = 20 and 50 the sub-blocks are ragged too
+        count = _CHUNK + 117
+        got = sample_inverse_wishart(scale, dof, count, seed=17)
+        ref = whole_block_inverse_wishart(scale, dof, count, derived_rng(17))
+        assert got.tobytes() == ref.tobytes()
+        # calls that continue one generator
+        rng, ref_rng = derived_rng(5), derived_rng(5)
+        for count in (300, 41):
+            got = sample_inverse_wishart(scale, dof, count, rng)
+            ref = whole_block_inverse_wishart(scale, dof, count, ref_rng)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_peak_memory_of_one_block(self):
+        # output, one block's normals (about half of it) and cache-sized buffers;
+        # whole-block algebra held three block-sized arrays (a peak of 3.0x)
+        p = 50
+        tracemalloc.start()
+        try:
+            out = sample_inverse_wishart(SpdMatrix(np.eye(p)), 2.0 * p + 10.0, _CHUNK, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * out.nbytes
 
 
 class TestDrawStream:
