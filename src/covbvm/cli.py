@@ -35,13 +35,17 @@ from .diagnostics import (
     tv_distance_over_statistics,
 )
 from .errors import ConfigError, CovBvmError, LowDraws
-from .functionals import evaluate, evaluate_batch, functional_from_json, standardized_statistic
+from .functionals import (
+    evaluate,
+    functional_from_json,
+    functional_values,
+    standardized_statistic,
+)
 from .posterior import (
     InverseWishartPrior,
     UniformVicinityPrior,
     default_sampler,
     localize_draws,
-    per_draw,
     sample_posterior,
 )
 from .projectors import posterior_projector_statistic, projector_bvm_check, projector_distances
@@ -69,6 +73,22 @@ def _require(cfg: dict, key: str, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return cfg[key]
+
+
+def _require_finite(doc, where: str = "config") -> None:
+    """Raise ConfigError at the first non-finite number in a parsed config.
+
+    Python's JSON parser accepts ``Infinity`` and ``NaN`` and reads an
+    overflowing literal such as ``1e400`` as inf; no config field takes one.
+    """
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(f"{where}: must be a finite number, got {doc}")
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _require_finite(value, f"{where}.{key}")
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            _require_finite(value, f"{where}[{index}]")
 
 
 def _build_model(doc: dict, base_dir: str):
@@ -332,7 +352,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
             default_sampler(prior, dataset, seed=derived_seed(seed, k)), draws_per_rep
         )
         if functional is not None:
-            vals = per_draw(lambda block: evaluate_batch(functional, block), draws)
+            vals = functional_values(functional, draws)
             lo, hi = _posterior_interval(vals, level)
             hits += lo <= truth <= hi
             widths[k] = hi - lo
@@ -424,6 +444,7 @@ def run(cfg: dict, config_dir: str = ".", out_override=None, seed_override=None)
             f"config.schema_version: expected {SCHEMA_VERSION}, "
             f"got {cfg.get('schema_version')!r}"
         )
+    _require_finite(cfg)
     command = _require(cfg, "command")
     if command not in COMMANDS:
         raise ConfigError(f"config.command: unknown command {command!r}")

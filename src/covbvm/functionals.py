@@ -16,10 +16,9 @@ from .posterior import (
     PosteriorDraws,
     PriorSpec,
     default_sampler,
-    per_draw,
     sample_posterior,
 )
-from .spd import SpdMatrix, sym
+from .spd import SpdMatrix, sym, upper_factors
 from .spectral import SpectralModel
 
 _RANK_RTOL = 1e-10
@@ -142,17 +141,44 @@ def functional_from_json(model: SpectralModel, doc: dict) -> FunctionalSpec:
 
 
 def evaluate(functional: FunctionalSpec, sigma: SpdMatrix | np.ndarray) -> float:
-    a = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma)
-    return float(evaluate_batch(functional, a[None])[0])
+    """The functional at one SPD matrix, through its Cholesky factor.
+
+    Raises NotPositiveDefinite if sigma has no Cholesky factor.
+    """
+    a = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=np.float64)
+    return float(evaluate_batch(functional, upper_factors(a)[None])[0])
 
 
-def evaluate_batch(functional: FunctionalSpec, mats: np.ndarray) -> np.ndarray:
-    if functional.kind == "eigenvalue_cluster":
-        eigs_desc = np.linalg.eigvalsh(mats)[:, ::-1]
-        return np.mean(eigs_desc[:, functional.cluster_block], axis=1)
+def evaluate_batch(functional: FunctionalSpec, factors: np.ndarray) -> np.ndarray:
+    """The functional at Sigma = X^T X for each triangular X of an (m, p, p) stack.
+
+    trace: ||X||_F^2; entry and linear: sum_r psi_r ||X u_r||^2 over the thin
+    factors of phi; log_det: 2 sum_i log|X_ii|; eigenvalue_cluster: the mean
+    of the cluster's eigenvalues of X^T X.
+    """
+    if functional.kind == "trace":
+        flat = factors.reshape(len(factors), -1)
+        return np.einsum("mk,mk->m", flat, flat)
     if functional.kind == "log_det":
-        return np.linalg.slogdet(mats)[1]
-    return np.einsum("ij,mij->m", functional.phi, mats)
+        return 2.0 * np.log(np.abs(np.diagonal(factors, axis1=1, axis2=2))).sum(axis=1)
+    if functional.kind == "eigenvalue_cluster":
+        eigs_desc = np.linalg.eigvalsh(factors.swapaxes(1, 2) @ factors)[:, ::-1]
+        return np.mean(eigs_desc[:, functional.cluster_block], axis=1)
+    xu = factors @ functional.u
+    return np.einsum("mpr,mpr->mr", xu, xu) @ functional.psi
+
+
+def functional_values(
+    functional: FunctionalSpec, draws: PosteriorDraws | np.ndarray
+) -> np.ndarray:
+    """The functional at every posterior draw, reduced block by block on the
+    draws' factors (``PosteriorDraws.factor_blocks``); no Sigma block is formed
+    for streamed draws, and a stack already in memory is factored as one block."""
+    if isinstance(draws, PosteriorDraws):
+        factors = draws.factor_blocks()
+    else:
+        factors = (upper_factors(np.asarray(draws, dtype=np.float64)),)
+    return np.concatenate([evaluate_batch(functional, x) for x in factors])
 
 
 def linearization_residual(
@@ -185,7 +211,7 @@ def standardized_statistic(
     covariance, as in the limit theorem.
     """
     center = evaluate(functional, data.sample_cov)
-    stat = per_draw(lambda block: evaluate_batch(functional, block), draws)
+    stat = functional_values(functional, draws)
     return EmpiricalLaw(math.sqrt(data.n) * (stat - center) / functional.normalizer)
 
 
@@ -210,13 +236,15 @@ def rank_adjusted_pipeline(
     prior_dim = getattr(low_dim_prior, "dim", r)
     if prior_dim != r:
         raise BadDimension(f"low-dimensional prior has dim {prior_dim}, need {r}")
-    u = functional.u
-    reduced = dataset_from_samples(data.samples @ u)
+    reduced = dataset_from_samples(data.samples @ functional.u)
     sampler = default_sampler(low_dim_prior, reduced, seed=seed)
     xi_draws = sample_posterior(sampler, count)
-    center = float(np.sum(np.diag(functional.psi) * np.diag(u.T @ data.sample_cov.entries @ u)))
-    stat = per_draw(lambda block: np.einsum("i,mii->m", functional.psi, block), xi_draws)
-    return EmpiricalLaw(math.sqrt(data.n) * (stat - center) / functional.normalizer)
+    # Tr(Psi Xi) is the linear functional whose thin factors are (I_r, psi);
+    # evaluation reads only those and the shared normalizer
+    xi_functional = dataclasses.replace(
+        functional, kind="linear", phi=np.diag(functional.psi), u=np.eye(r), cluster_block=None
+    )
+    return standardized_statistic(xi_functional, xi_draws, reduced)
 
 
 def reduced_inverse_wishart_prior(

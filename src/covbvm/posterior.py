@@ -7,7 +7,9 @@ of the inverse scale, B the Bartlett factor), so each draw is X^T X with
 X = T^-1, found by triangular block inversion without forming or inverting the
 full precision.  That algebra runs on cache-sized sub-blocks of each block of
 draws, so the sampler holds its output, one block's normals and three
-sub-block buffers, not several block-sized arrays.
+sub-block buffers, not several block-sized arrays.  With ``factor=True`` the
+sampler returns the triangular X itself and skips X^T X, for statistics
+that reduce the factor (the functionals).
 
 Arbitrary density-evaluable priors go through a random-walk Metropolis chain
 on the Cholesky factor; its theta -> Sigma map and log-Jacobian are set up once
@@ -26,8 +28,11 @@ draws them afresh from the sampler's seed, one ``sample_inverse_wishart`` call
 per block on one shared generator, so a statistic that reduces each block to
 scalars never holds the (M, p, p) stack.  ``PosteriorDraws.matrices`` builds
 that stack from the same blocks, byte-identical, for the consumers that need
-every draw at once.  The Metropolis and rejection samplers run when
-``sample_posterior`` is called, and their blocks are slices of the stored draws.
+every draw at once.  ``PosteriorDraws.factor_blocks()`` yields the factors X
+with Sigma = X^T X of the same draws: streamed from the seed for exact draws,
+by Cholesky of each stored block otherwise.  The Metropolis and rejection
+samplers run when ``sample_posterior`` is called, and their blocks are slices
+of the stored draws.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import (
     PoorMixing,
     RejectionStarved,
 )
-from .spd import SpdMatrix, relative_deviation, sym
+from .spd import SpdMatrix, relative_deviation, sym, upper_factors
 
 _CHUNK = 4096
 # the inverse-Wishart kernel's algebra runs on sub-blocks of about this many
@@ -186,7 +191,12 @@ def _tril_inv_inplace(t: np.ndarray) -> None:
 
 
 def sample_inverse_wishart(
-    scale: SpdMatrix, dof: float, count: int, seed: int | np.random.Generator
+    scale: SpdMatrix,
+    dof: float,
+    count: int,
+    seed: int | np.random.Generator,
+    *,
+    factor: bool = False,
 ) -> np.ndarray:
     """i.i.d. draws from the inverse Wishart with the given scale and dof.
 
@@ -206,6 +216,13 @@ def sample_inverse_wishart(
     block, and the three sub-block buffers: one 4096-draw call at p = 50
     peaks at about 1.57 times its output's bytes.
 
+    With ``factor=True`` the call returns the (count, p, p) stack of the
+    lower-triangular X instead, inverted in place in the output: the same
+    stream and the same X whose X^T X the default call symmetrizes, without
+    forming X^T X or its symmetric copy.  (The inverse's leaves are LAPACK's
+    pivoted ``inv``, so where a column of T is not diagonally dominant they
+    can leave rounding-sized entries above X's diagonal, in both forms.)
+
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
     each on one generator continue the stream of one call for their total
@@ -222,7 +239,8 @@ def sample_inverse_wishart(
     lower, diag = il * p + jl, np.arange(p) * (p + 1)
     sub = min(max(1, _SUB_BYTES // (8 * p * p)), count, _CHUNK)
     bart = np.zeros((sub, p, p))  # its upper triangle stays zero
-    x, xtx = np.empty_like(bart), np.empty_like(bart)
+    if not factor:
+        x, xtx = np.empty_like(bart), np.empty_like(bart)
     bart_flat = bart.reshape(sub, p * p)
     normals = np.empty((min(count, _CHUNK), len(lower)))
     out = np.empty((count, p, p))
@@ -235,12 +253,14 @@ def sample_inverse_wishart(
             m = min(sub, k - s)
             bart_flat[:m, lower] = z[s : s + m]
             bart_flat[:m, diag] = chi[s : s + m]
-            t = np.matmul(chol, bart[:m], out=x[:m])  # T = L B, then X = T^-1
-            _tril_inv_inplace(t)
-            w = np.matmul(t.swapaxes(1, 2), t, out=xtx[:m])
             block = out[start + s : start + s + m]
-            np.add(w, w.swapaxes(1, 2), out=block)
-            block *= 0.5
+            # T = L B, then X = T^-1
+            t = np.matmul(chol, bart[:m], out=block if factor else x[:m])
+            _tril_inv_inplace(t)
+            if not factor:
+                w = np.matmul(t.swapaxes(1, 2), t, out=xtx[:m])
+                np.add(w, w.swapaxes(1, 2), out=block)
+                block *= 0.5
     return out
 
 
@@ -292,14 +312,15 @@ class PosteriorSampler:
 class PosteriorDraws:
     """Posterior draws, consumed in blocks of at most ``_CHUNK`` matrices.
 
-    ``stream()`` yields the blocks afresh, the same on every call.
-    ``matrices`` builds the (M, p, p) stack from them once; after that, and
-    for draws made ``stored``, blocks are slices of the stack.
+    ``stream(factor)`` yields the blocks afresh, the same on every call: the
+    Sigma draws, or with ``factor=True`` their triangular factors X with
+    Sigma = X^T X.  ``matrices`` builds the (M, p, p) stack from them once;
+    after that, and for draws made ``stored``, blocks are slices of the stack.
     """
 
     def __init__(
         self,
-        stream: Callable[[], Iterator[np.ndarray]] | None,
+        stream: Callable[..., Iterator[np.ndarray]] | None,
         count: int,
         warnings: tuple[str, ...] = (),
     ):
@@ -320,15 +341,26 @@ class PosteriorDraws:
 
     def blocks(self) -> Iterator[np.ndarray]:
         if self._stack is None:
-            return self._stream()
+            return self._stream(factor=False)
         return (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
+
+    def factor_blocks(self) -> Iterator[np.ndarray]:
+        """Blocks of factors X with Sigma = X^T X, one per draw of ``blocks()``.
+
+        Streamed draws yield the sampler's lower-triangular X from the same
+        seed; stored draws yield the transposed Cholesky factor of each
+        matrix, upper triangular, and raise NotPositiveDefinite if one fails.
+        """
+        if self._stream is not None:
+            return self._stream(factor=True)
+        return (upper_factors(block) for block in self.blocks())
 
     @property
     def matrices(self) -> np.ndarray:
         """The (M, p, p) stack of all draws."""
         if self._stack is None:
             stack = None
-            for start, block in zip(range(0, self._count, _CHUNK), self._stream()):
+            for start, block in zip(range(0, self._count, _CHUNK), self.blocks()):
                 if stack is None:
                     stack = np.empty((self._count, *block.shape[1:]))
                 stack[start : start + len(block)] = block
@@ -356,10 +388,11 @@ def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
 
-    def stream():
+    def stream(factor):
         rng = derived_rng(sampler.seed)
         for start in range(0, count, _CHUNK):
-            yield sample_inverse_wishart(scale, dof, min(_CHUNK, count - start), rng)
+            k = min(_CHUNK, count - start)
+            yield sample_inverse_wishart(scale, dof, k, rng, factor=factor)
 
     return PosteriorDraws(stream, count)
 

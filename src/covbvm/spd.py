@@ -64,10 +64,7 @@ class SpdMatrix:
     @functools.cached_property
     def cholesky(self) -> np.ndarray:
         """Read-only lower Cholesky factor, computed on first use."""
-        try:
-            chol = np.linalg.cholesky(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("Cholesky factorization failed") from exc
+        chol = _cholesky(self.entries)
         chol.setflags(write=False)
         return chol
 
@@ -108,6 +105,22 @@ def norms(m: SpdMatrix) -> dict:
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix (or a stack of matrices)."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("Cholesky factorization failed") from exc
+
+
+def upper_factors(a: np.ndarray) -> np.ndarray:
+    """Upper-triangular X with X^T X = A, for an SPD matrix or stack of them.
+
+    X is the transposed lower Cholesky factor; raises NotPositiveDefinite if
+    a factorization fails.
+    """
+    return np.swapaxes(_cholesky(a), -1, -2)
 
 
 def spectral_norm(a: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ from covbvm.errors import ConfigError, LowDraws
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """Write a config dict as JSON, or a string as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -188,6 +189,28 @@ class TestValidation:
                 ),
                 "config.budget.n",
             ),
+            (
+                base_config(
+                    "budget",
+                    budget={"context": "posterior_independence", "rho": math.inf, "rho_w": 0.2, "n": 50},
+                ),
+                "config.budget.rho",
+            ),
+            (
+                # Python's JSON parser reads an overflowing literal as inf
+                json.dumps(base_config(
+                    "budget",
+                    budget={"context": "posterior_independence", "rho": 0.125, "rho_w": 0.2, "n": 50},
+                )).replace("0.125", "1e400"),
+                "config.budget.rho",
+            ),
+            (
+                base_config(
+                    "budget",
+                    budget={"context": "posterior_independence", "rho": 0.1, "rho_w": 0.2, "n": math.nan},
+                ),
+                "config.budget.n",
+            ),
         ],
         ids=[
             "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
@@ -196,7 +219,8 @@ class TestValidation:
             "budget-negative-rho", "entry-index-too-large", "entry-index-negative",
             "unknown-functional-kind", "contraction-decreasing-grid", "bridge-decreasing-grid",
             "bridge-grid-exhausted", "bridge-zero-radius", "budget-independence-zero-n",
-            "budget-functional-zero-n", "budget-projector-negative-n",
+            "budget-functional-zero-n", "budget-projector-negative-n", "budget-infinite-rho",
+            "budget-overflowing-rho", "budget-nan-n",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):

@@ -7,6 +7,7 @@ import scipy.stats
 
 from covbvm import (
     DatasetSpec,
+    SpdMatrix,
     default_inverse_wishart_prior,
     default_sampler,
     entry_functional,
@@ -22,11 +23,12 @@ from covbvm import (
     rank_adjusted_pipeline,
     reduced_inverse_wishart_prior,
     sample_dataset,
+    sample_inverse_wishart,
     sample_posterior,
     standardized_statistic,
     trace_functional,
 )
-from covbvm.errors import BadDimension, DegenerateFunctional
+from covbvm.errors import BadDimension, DegenerateFunctional, NotPositiveDefinite
 from covbvm.posterior import _CHUNK
 from covbvm.spd import spectral_norm, sym
 
@@ -112,8 +114,9 @@ class TestEvaluate:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         mats = np.array([sym(rng.standard_normal((3, 3))) + 5 * np.eye(3) for _ in range(7)])
-        # evaluate is evaluate_batch on a one-matrix stack, so the reference
+        # evaluate factors its matrix and calls evaluate_batch, so the reference
         # is each functional's closed form, matrix by matrix
+        factors = np.linalg.cholesky(mats).swapaxes(1, 2)
         for func, reference in (
             (trace_functional(self.model), np.trace),
             (entry_functional(self.model, 0, 2), lambda m: m[0, 2]),
@@ -122,11 +125,41 @@ class TestEvaluate:
              lambda m: np.mean(np.linalg.eigvalsh(m)[:2])),
             (log_det_functional(self.model), lambda m: math.log(np.linalg.det(m))),
         ):
-            batch = evaluate_batch(func, mats)
+            batch = evaluate_batch(func, factors)
             singles = [evaluate(func, m) for m in mats]
             expected = [reference(m) for m in mats]
             assert np.allclose(batch, expected, atol=1e-12)
             assert np.allclose(singles, expected, atol=1e-12)
+
+    def test_kernel_factors_match_closed_form(self):
+        # each kind on the sampler's X against its closed form on the Sigma draws
+        model = model_from_spectrum([4.0, 2.0, 1.0], [5, 15, 30], rotation_seed=2)
+        p, n = model.dim, 500
+        scale, dof = SpdMatrix(n * model.sigma_star.entries), n + p + 1.0
+        sigmas = sample_inverse_wishart(scale, dof, 300, seed=9)
+        factors = sample_inverse_wishart(scale, dof, 300, seed=9, factor=True)
+        star = model.sigma_star.entries
+        off = np.abs(star - np.diag(np.diag(star)))
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        g = np.random.default_rng(3).standard_normal((p, 4))
+        for func, closed_form in (
+            (trace_functional(model), lambda m: np.trace(m, axis1=1, axis2=2)),
+            (entry_functional(model, i, j), lambda m: m[:, i, j]),
+            (entry_functional(model, 7, 7), lambda m: m[:, 7, 7]),
+            (linear_functional(model, g @ g.T), lambda m: np.einsum("ij,mij->m", g @ g.T, m)),
+            (log_det_functional(model), lambda m: np.linalg.slogdet(m)[1]),
+            # group 2 holds the 15 middle eigenvalues
+            (eigenvalue_cluster_functional(model, 2),
+             lambda m: np.mean(np.linalg.eigvalsh(m)[:, 30:45], axis=1)),
+        ):
+            got = evaluate_batch(func, factors)
+            assert np.allclose(got, closed_form(sigmas), rtol=1e-12, atol=0), func.kind
+
+    def test_evaluate_rejects_non_spd(self):
+        indefinite = np.diag([1.0, -0.5, 2.0])
+        for func in (trace_functional(self.model), log_det_functional(self.model)):
+            with pytest.raises(NotPositiveDefinite):
+                evaluate(func, indefinite)
 
     def test_cluster_uses_descending_positions(self):
         func = eigenvalue_cluster_functional(self.model, 1)

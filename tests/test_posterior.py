@@ -11,6 +11,7 @@ from covbvm import (
     GenericPrior,
     InverseWishartPrior,
     Metropolis,
+    PosteriorDraws,
     PosteriorSampler,
     RejectionInVicinity,
     SpdMatrix,
@@ -279,13 +280,16 @@ class TestInverseWishartKernel:
         # output, one block's normals (about half of it) and cache-sized buffers;
         # whole-block algebra held three block-sized arrays (a peak of 3.0x)
         p = 50
-        tracemalloc.start()
-        try:
-            out = sample_inverse_wishart(SpdMatrix(np.eye(p)), 2.0 * p + 10.0, _CHUNK, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.7 * out.nbytes
+        for factor in (False, True):
+            tracemalloc.start()
+            try:
+                out = sample_inverse_wishart(
+                    SpdMatrix(np.eye(p)), 2.0 * p + 10.0, _CHUNK, seed=5, factor=factor
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.7 * out.nbytes, factor
 
 
 class TestDrawStream:
@@ -307,6 +311,41 @@ class TestDrawStream:
         assert draws.matrices.tobytes() == whole
         # after materializing, blocks are slices of the stack
         assert np.concatenate(list(draws.blocks())).tobytes() == whole
+
+    def test_factor_blocks_match_blocks(self):
+        # the streamed X of each block, squared and symmetrized as the sampler
+        # does, gives its Sigma block bit for bit, on every pass
+        count = _CHUNK + 17
+        model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
+        sampler = default_sampler(default_inverse_wishart_prior(4), data, seed=5)
+        draws = sample_posterior(sampler, count)
+        sigmas = np.concatenate(list(draws.blocks()))
+        for _ in range(2):
+            factors = list(draws.factor_blocks())
+            assert [len(x) for x in factors] == [_CHUNK, 17]
+            x = np.concatenate(factors)
+            assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
+            squares = x.swapaxes(1, 2) @ x
+            assert ((squares + squares.swapaxes(1, 2)) * 0.5).tobytes() == sigmas.tobytes()
+        # materializing the stack leaves the factors streamed from the seed
+        draws.matrices
+        assert np.concatenate(list(draws.factor_blocks())).tobytes() == x.tobytes()
+
+    def test_stored_factor_blocks(self):
+        model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
+        scale, dof = conjugate_posterior_params(default_inverse_wishart_prior(4), data)
+        mats = sample_inverse_wishart(scale, dof, _CHUNK + 5, seed=6)
+        draws = PosteriorDraws.stored(mats)
+        factors = list(draws.factor_blocks())
+        assert [len(x) for x in factors] == [_CHUNK, 5]
+        x = np.concatenate(factors)
+        assert np.array_equal(np.tril(x, -1), np.zeros_like(x))
+        assert np.allclose(x.swapaxes(1, 2) @ x, mats, rtol=1e-12, atol=0)
+        mats[3] = np.diag([1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefinite):
+            list(PosteriorDraws.stored(mats).factor_blocks())
 
 
 class TestSamplePosterior:
