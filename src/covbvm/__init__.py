@@ -66,7 +66,6 @@ from .functionals import (
 from .projectors import (
     ChiSquareMixture,
     ProjectorStatistic,
-    empirical_projector,
     posterior_projector_statistic,
     projector_bvm_check,
 )

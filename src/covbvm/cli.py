@@ -229,6 +229,7 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
         "precondition_ok": result.precondition_ok,
         "delta_hat": result.delta_hat,
         "near_degenerate_draws": result.statistic.near_degenerate_count,
+        "eigh_fallback_draws": result.statistic.eigh_fallback_count,
     }
     return report, ["statistic.csv"]
 

@@ -349,8 +349,8 @@ class TestExperimentCommands:
             blobs.append((out / "report.json").read_bytes())
         report = json.loads(blobs[0])
         assert set(report) == {
-            "budget", "command", "delta_hat", "ks", "ks_resolution", "near_degenerate_draws",
-            "precondition_ok",
+            "budget", "command", "delta_hat", "eigh_fallback_draws", "ks", "ks_resolution",
+            "near_degenerate_draws", "precondition_ok",
         }
         assert report["command"] == "bvm-projector"
         assert report["ks"] < 0.1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from covbvm import (
     build_gamma,
     default_inverse_wishart_prior,
     default_sampler,
-    empirical_projector,
     kolmogorov_distance,
     model_from_spectrum,
     posterior_projector_statistic,
@@ -20,7 +20,33 @@ from covbvm import (
     sample_dataset,
     sample_posterior,
 )
-from covbvm.projectors import projector_distances, projector_from_entries
+from covbvm.projectors import projector_distances
+
+
+def projector_from_entries(entries: np.ndarray, index_set: np.ndarray) -> np.ndarray:
+    """Projector onto the eigenvectors at the given descending-order positions,
+    from a full eigendecomposition: the explicit oracle for the statistic."""
+    cols = np.linalg.eigh(entries)[1][..., ::-1][..., index_set]
+    return cols @ cols.T
+
+
+def eigh_distances(mats: np.ndarray, data, index_set: np.ndarray):
+    """2n ||V-hat_perp^T V||_F^2 for each matrix of a stack with V from eigh, and
+    the number of matrices whose own gap at the selection boundary is below
+    1e-6: the eigendecomposition route that projector_distances must match."""
+    p = mats.shape[-1]
+    vecs = np.linalg.eigh(data.sample_cov.entries)[1][:, ::-1]
+    hat_perp = np.delete(vecs, index_set, axis=1)
+    w, v = np.linalg.eigh(mats)
+    eigs, cols = w[:, ::-1], v[:, :, ::-1][:, :, index_set]
+    values = 2.0 * data.n * np.sum((hat_perp.T @ cols) ** 2, axis=(1, 2))
+    lo, hi = index_set[0], index_set[-1]
+    gaps = np.full(len(mats), np.inf)
+    if lo > 0:
+        gaps = np.minimum(gaps, eigs[:, lo - 1] - eigs[:, lo])
+    if hi < p - 1:
+        gaps = np.minimum(gaps, eigs[:, hi] - eigs[:, hi + 1])
+    return values, int(np.sum(gaps < 1e-6))
 
 
 class TestProjectorFromEntries:
@@ -90,14 +116,14 @@ class TestProjectorStatistic:
             ),
         ]
         for model, sel, data in cases:
-            phat = empirical_projector(data, model, sel)
+            phat = projector_from_entries(data.sample_cov.entries, sel.index_set(model))
             assert np.allclose(phat @ phat, phat, atol=1e-12)
             truth = model.group_projectors[sel.s_minus - 1]
-            (dist,), near_degenerate = projector_distances(
+            (dist,), near_degenerate, fallbacks = projector_distances(
                 model, sel, model.sigma_star.entries[None], data
             )
             assert dist == pytest.approx(data.n * np.sum((truth - phat) ** 2), rel=1e-9)
-            assert near_degenerate == 0
+            assert near_degenerate == fallbacks == 0
 
     def test_statistic_matches_explicit_frobenius(self):
         # middle group of mults [1, 2, 3]: a two-dimensional eigenspace
@@ -116,6 +142,79 @@ class TestProjectorStatistic:
             for mat in draws.matrices
         ]
         assert np.allclose(stat.law.values, np.sort(explicit), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "groups", [(1, 1), (2, 2), (3, 3), (1, 3)], ids=["1-1", "2-2", "3-3", "1-3"]
+    )
+    def test_matches_eigh_oracle(self, groups):
+        # mults [1, 2, 3] at n = 300, the smallest n a projector run of the
+        # suite uses, where the subspace refinement converges slowest; 5000
+        # draws come as streamed blocks of 4096 and 904, as stored slices, and
+        # the truth as a single matrix.  (1, 3) selects every eigenvalue.
+        model = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
+        sel = EigenspaceSelection(*groups)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 300, seed=9))
+        draws = sample_posterior(
+            default_sampler(default_inverse_wishart_prior(6), data, 10), 5000
+        )
+        idx = sel.index_set(model)
+        oracle, oracle_degenerate = eigh_distances(draws.matrices, data, idx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            streamed = posterior_projector_statistic(model, sel, draws, data)
+            stored = posterior_projector_statistic(
+                model, sel, PosteriorDraws.stored(draws.matrices), data
+            )
+            truth = projector_distances(model, sel, model.sigma_star.entries[None], data)
+        for stat in (streamed, stored):
+            np.testing.assert_allclose(stat.law.values, np.sort(oracle), rtol=1e-12, atol=0)
+            assert stat.near_degenerate_count == oracle_degenerate
+            # draws that the refinement cannot resolve go to eigh, and few do
+            assert stat.eigh_fallback_count < 0.02 * len(draws)
+        assert streamed.eigh_fallback_count == stored.eigh_fallback_count
+        sigma_oracle, _ = eigh_distances(model.sigma_star.entries[None], data, idx)
+        np.testing.assert_allclose(truth[0], sigma_oracle, rtol=1e-12, atol=0)
+        assert truth[1:] == (0, 0)
+
+    def test_value_does_not_depend_on_other_draws(self):
+        # each draw stops refining on its own residual, so a draw alone and in
+        # a stack whose slowest draw takes many more steps get the same bits
+        model = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
+        sel = EigenspaceSelection(2, 2)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 300, seed=9))
+        mats = sample_posterior(
+            default_sampler(default_inverse_wishart_prior(6), data, 10), 100
+        ).matrices
+        stacked = projector_distances(model, sel, mats, data)[0]
+        alone = [projector_distances(model, sel, mat[None], data)[0] for mat in mats]
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_unresolved_draws_fall_back_to_eigh(self):
+        # Draws near S in S's eigenbasis: in some the top eigenvalue drops below
+        # the next group's, so the selected positions hold another eigenspace
+        # than the refinement starts from; some are the identity, where every
+        # gap is 0.  Both go to eigh and get its value and near-degenerate
+        # count; the rest stay on the refinement.
+        model = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
+        sel = EigenspaceSelection(1, 1)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 300, seed=9))
+        eigs, vecs = np.linalg.eigh(data.sample_cov.entries)
+        rng = np.random.default_rng(11)
+        spectra = np.tile(eigs, (30, 1))
+        spectra[:10, -1] = eigs[-2] - 0.3
+        noise = 0.01 * rng.standard_normal((30, 6, 6))
+        mats = vecs @ (spectra[:, :, None] * np.eye(6)) @ vecs.T + noise + noise.swapaxes(1, 2)
+        mats[20:] = np.eye(6)
+        oracle, oracle_degenerate = eigh_distances(mats, data, sel.index_set(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, near_degenerate, fallbacks = projector_distances(model, sel, mats, data)
+        assert fallbacks == 20
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0)
+        # a swapped draw's top eigenvector is nearly orthogonal to S's top one,
+        # which the refinement would have kept: distance near 2n, not near 0
+        assert np.all(values[:10] > 1.9 * data.n)
+        assert near_degenerate == oracle_degenerate == 10
 
     def test_draws_sharing_sample_eigenvectors_give_zero(self):
         # S and its positive multiples share S's eigenvectors: every principal
