@@ -31,7 +31,6 @@ from .diagnostics import (
     flatness_profile,
     kolmogorov_distance,
     ks_resolution,
-    save_flatness_csv,
     tv_distance_over_statistics,
 )
 from .errors import ConfigError, CovBvmError, LowDraws
@@ -170,11 +169,14 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _write_csv(path, header: str, values) -> None:
+def _write_csv(path, header: str, *columns) -> None:
+    """A header line, then one line per row of the float columns, each value
+    written as its repr and the values of a row joined by commas."""
+    texts = [map(repr, map(float, col)) for col in columns]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for v in values:
-            fh.write(repr(float(v)) + "\n")
+        for row in zip(*texts):
+            fh.write(",".join(row) + "\n")
 
 
 def _write_json(path, doc) -> None:
@@ -270,7 +272,7 @@ def _cmd_flatness(cfg, model, out_dir, tag, seed):
     if any(d <= 0 for d in grid):
         raise ConfigError(f"config.delta_grid: flatness radii must be positive, got {grid}")
     rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
-    save_flatness_csv(os.path.join(out_dir, "flatness.csv"), grid, rho)
+    _write_csv(os.path.join(out_dir, "flatness.csv"), "delta,rho", grid, rho)
     report = {"command": "flatness", "delta_grid": grid, "rho": [float(x) for x in rho]}
     return report, ["flatness.csv"]
 

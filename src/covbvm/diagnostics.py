@@ -205,13 +205,6 @@ def flatness_profile(
     )
 
 
-def save_flatness_csv(path, delta_grid, rho) -> None:
-    with open(path, "w") as fh:
-        fh.write("delta,rho\n")
-        for d, r in zip(delta_grid, rho):
-            fh.write(f"{float(d)!r},{float(r)!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # Error budgets
 

@@ -168,17 +168,11 @@ def evaluate_batch(functional: FunctionalSpec, factors: np.ndarray) -> np.ndarra
     return np.einsum("mpr,mpr->mr", xu, xu) @ functional.psi
 
 
-def functional_values(
-    functional: FunctionalSpec, draws: PosteriorDraws | np.ndarray
-) -> np.ndarray:
+def functional_values(functional: FunctionalSpec, draws: PosteriorDraws) -> np.ndarray:
     """The functional at every posterior draw, reduced block by block on the
     draws' factors (``PosteriorDraws.factor_blocks``); no Sigma block is formed
-    for streamed draws, and a stack already in memory is factored as one block."""
-    if isinstance(draws, PosteriorDraws):
-        factors = draws.factor_blocks()
-    else:
-        factors = (upper_factors(np.asarray(draws, dtype=np.float64)),)
-    return np.concatenate([evaluate_batch(functional, x) for x in factors])
+    for streamed draws."""
+    return np.concatenate([evaluate_batch(functional, x) for x in draws.factor_blocks()])
 
 
 def linearization_residual(
@@ -201,7 +195,7 @@ def linearization_residual(
 
 def standardized_statistic(
     functional: FunctionalSpec,
-    draws: PosteriorDraws | np.ndarray,
+    draws: PosteriorDraws,
     data: Dataset,
 ) -> EmpiricalLaw:
     """Centered and scaled law of the functional over posterior draws, which

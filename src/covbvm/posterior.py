@@ -4,12 +4,13 @@ The Gaussian log-likelihood is used regardless of the data family.  With an
 inverse Wishart prior the posterior is conjugate and sampled exactly: the
 Wishart precision is T T^T with T = L B lower triangular (L the Cholesky factor
 of the inverse scale, B the Bartlett factor), so each draw is X^T X with
-X = T^-1, found by triangular block inversion without forming or inverting the
-full precision.  That algebra runs on cache-sized sub-blocks of each block of
-draws, so the sampler holds its output, one block's normals and three
-sub-block buffers, not several block-sized arrays.  With ``factor=True`` the
-sampler returns the triangular X itself and skips X^T X, for statistics
-that reduce the factor (the functionals).
+X = T^-1, found by 2x2 block recursion down to T's diagonal without forming or
+inverting the full precision, so X is exactly lower triangular.  That algebra
+runs on cache-sized sub-blocks of each block of draws, so the sampler holds its
+output, one block's normals and three sub-block buffers, not several
+block-sized arrays.  With ``factor=True`` the sampler returns the triangular X
+itself and skips X^T X, for statistics that reduce the factor (the
+functionals).
 
 Arbitrary density-evaluable priors go through a random-walk Metropolis chain
 on the Cholesky factor; its theta -> Sigma map and log-Jacobian are set up once
@@ -59,8 +60,6 @@ _CHUNK = 4096
 # the inverse-Wishart kernel's algebra runs on sub-blocks of about this many
 # bytes of (p, p) matrices, so that each stays in cache
 _SUB_BYTES = 1 << 20
-# lower-triangular blocks up to this size are inverted by LAPACK directly
-_TRI_LEAF = 8
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +173,15 @@ def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
 def _tril_inv_inplace(t: np.ndarray) -> None:
     """Invert a (count, p, p) stack of lower-triangular matrices in place.
 
-    2x2 block recursion: the inverse of [[A, 0], [C, D]] is
-    [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  A and D are inverted in their own
-    views first, then C is overwritten by -(D^-1 C) A^-1.
+    2x2 block recursion down to the diagonal: the inverse of [[A, 0], [C, D]]
+    is [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  A and D are inverted in their own
+    views first, then C is overwritten by -(D^-1 C) A^-1; a 1x1 block is its
+    reciprocal.  The upper blocks are never written, so the inverse is exactly
+    lower triangular.
     """
     p = t.shape[-1]
-    if p <= _TRI_LEAF:
-        t[...] = np.linalg.inv(t)
+    if p == 1:
+        np.reciprocal(t, out=t)
         return
     h = p // 2
     _tril_inv_inplace(t[:, :h, :h])
@@ -219,9 +220,8 @@ def sample_inverse_wishart(
     With ``factor=True`` the call returns the (count, p, p) stack of the
     lower-triangular X instead, inverted in place in the output: the same
     stream and the same X whose X^T X the default call symmetrizes, without
-    forming X^T X or its symmetric copy.  (The inverse's leaves are LAPACK's
-    pivoted ``inv``, so where a column of T is not diagonally dominant they
-    can leave rounding-sized entries above X's diagonal, in both forms.)
+    forming X^T X or its symmetric copy.  X is exactly lower triangular in
+    both forms.
 
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
@@ -368,14 +368,9 @@ class PosteriorDraws:
         return self._stack
 
 
-def draw_blocks(draws: PosteriorDraws | np.ndarray):
-    """The blocks of posterior draws; a stack already in memory is one block."""
-    return draws.blocks() if isinstance(draws, PosteriorDraws) else (np.asarray(draws),)
-
-
-def per_draw(fn: Callable[[np.ndarray], np.ndarray], draws: PosteriorDraws | np.ndarray):
+def per_draw(fn: Callable[[np.ndarray], np.ndarray], draws: PosteriorDraws):
     """fn's values over posterior draws, one per matrix, computed block by block."""
-    return np.concatenate([fn(block) for block in draw_blocks(draws)])
+    return np.concatenate([fn(block) for block in draws.blocks()])
 
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):

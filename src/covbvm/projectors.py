@@ -31,7 +31,6 @@ from .posterior import (
     PosteriorDraws,
     PriorSpec,
     default_sampler,
-    draw_blocks,
     sample_posterior,
 )
 from .spd import norms
@@ -44,6 +43,8 @@ from .spectral import (
 from .errors import PreconditionWarning
 
 _DEGENERATE_GAP_FLOOR = 1e-6
+# datasets drawn to estimate the concentration radius delta-hat
+_CONCENTRATION_REPLICATIONS = 50
 # a draw's subspace refinement stops once its residual is below p times this
 # times the size of the residual's terms, a few roundings of a p-term sum; a
 # draw not there after _MAX_REFINE_STEPS steps goes to eigh
@@ -221,7 +222,7 @@ def projector_distances(
 def posterior_projector_statistic(
     model: SpectralModel,
     sel: EigenspaceSelection,
-    draws: PosteriorDraws | np.ndarray,
+    draws: PosteriorDraws,
     dataset: Dataset,
 ) -> ProjectorStatistic:
     """Law of the projector distances (see projector_distances) over
@@ -230,7 +231,7 @@ def posterior_projector_statistic(
     index sets are used verbatim) but counted and reported, and so are the
     draws whose distance came from ``numpy.linalg.eigh``.
     """
-    parts = [projector_distances(model, sel, block, dataset) for block in draw_blocks(draws)]
+    parts = [projector_distances(model, sel, block, dataset) for block in draws.blocks()]
     values = np.concatenate([block_values for block_values, _, _ in parts])
     near_degenerate = sum(count for _, count, _ in parts)
     fallbacks = sum(count for _, _, count in parts)
@@ -365,7 +366,6 @@ def projector_bvm_check(
     count: int,
     l_star_j: float,
     seed: int = 0,
-    concentration_replications: int = 50,
 ) -> ProjectorBvmReport:
     """Full pipeline: data, posterior, projector statistic, reference mixture.
 
@@ -378,7 +378,7 @@ def projector_bvm_check(
     stat = posterior_projector_statistic(model, sel, draws, dataset)
     mixture = ChiSquareMixture(build_gamma(model, sel))
     ks = kolmogorov_distance(stat.law, mixture.cdf)
-    delta_hat = estimate_delta_hat(data_spec, concentration_replications)
+    delta_hat = estimate_delta_hat(data_spec, _CONCENTRATION_REPLICATIONS)
     gap = selection_gap(model, sel)
     model_norms = norms(model.sigma_star)
     bound = min(

@@ -16,6 +16,9 @@ from .errors import BadGrouping, DegenerateGap, NoExteriorGap
 from .spd import SpdMatrix
 
 _PROJ_TOL = 1e-10
+# adjacent eigenvalues within this relative difference form one group, and
+# adjacent groups whose means are that close are degenerate
+_CLUSTER_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,49 +122,51 @@ class EigenspaceSelection:
         return int(model.group_mults[self.s_minus - 1 : self.s_plus].sum())
 
 
-def _group_eigenvalues(eigs_desc: np.ndarray, mults: np.ndarray | None, tol: float):
-    """Return block boundaries and group means for descending eigenvalues."""
+def _group_eigenvalues(eigs_desc: np.ndarray, mults: np.ndarray | None):
+    """Return multiplicities and group means for descending eigenvalues."""
     p = len(eigs_desc)
     if mults is not None:
         mults = np.asarray(mults, dtype=np.int64)
         if np.any(mults <= 0) or mults.sum() != p:
             raise BadGrouping(f"multiplicities {mults.tolist()} do not sum to p={p}")
     else:
-        # cluster adjacent eigenvalues whose relative difference is <= tol
         scale = max(abs(eigs_desc[0]), abs(eigs_desc[-1]), np.finfo(float).tiny)
-        breaks = np.nonzero((eigs_desc[:-1] - eigs_desc[1:]) / scale > tol)[0]
+        breaks = np.nonzero((eigs_desc[:-1] - eigs_desc[1:]) / scale > _CLUSTER_TOL)[0]
         mults = np.diff(np.concatenate([[0], breaks + 1, [p]]))
     bounds = np.concatenate([[0], np.cumsum(mults)])
     mu = np.array(
         [eigs_desc[bounds[s] : bounds[s + 1]].mean() for s in range(len(mults))]
     )
     scale = max(abs(mu[0]), np.finfo(float).tiny)
-    if np.any((mu[:-1] - mu[1:]) <= tol * scale):
+    if np.any((mu[:-1] - mu[1:]) <= _CLUSTER_TOL * scale):
         raise DegenerateGap(
             f"adjacent groups share a value within tolerance: {mu.tolist()}"
         )
-    return mults, bounds, mu
+    return mults, mu
+
+
+def _group_projectors(vecs: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """The (q, p, p) projectors onto consecutive column blocks of vecs, of
+    sizes mults."""
+    bounds = np.concatenate([[0], np.cumsum(mults)])
+    projs = np.empty((len(mults), len(vecs), len(vecs)))
+    for s in range(len(mults)):
+        block = vecs[:, bounds[s] : bounds[s + 1]]
+        projs[s] = block @ block.T
+    return projs
 
 
 def spectral_decompose(
-    m: SpdMatrix,
-    mults: np.ndarray | list[int] | None = None,
-    tol: float = 1e-8,
+    m: SpdMatrix, mults: np.ndarray | list[int] | None = None
 ) -> SpectralModel:
     """Build a SpectralModel from a matrix and its (known or clustered) groups.
 
     If explicit multiplicities are given they are used verbatim; otherwise
-    adjacent eigenvalues with relative difference <= tol form one group.
+    adjacent eigenvalues with relative difference <= 1e-8 form one group.
     """
     w, v = np.linalg.eigh(m.entries)
-    eigs_desc = w[::-1]
-    vecs_desc = v[:, ::-1]
-    mults, bounds, mu = _group_eigenvalues(eigs_desc, mults, tol)
-    projs = np.empty((len(mults), m.dim, m.dim))
-    for s in range(len(mults)):
-        block = vecs_desc[:, bounds[s] : bounds[s + 1]]
-        projs[s] = block @ block.T
-    return SpectralModel(m, mu, mults, projs)
+    mults, mu = _group_eigenvalues(w[::-1], mults)
+    return SpectralModel(m, mu, mults, _group_projectors(v[:, ::-1], mults))
 
 
 def model_from_spectrum(
@@ -183,12 +188,7 @@ def model_from_spectrum(
         qmat *= np.sign(np.diag(r))
     eigs = np.repeat(mu, mults)
     sigma = SpdMatrix((qmat * eigs) @ qmat.T)
-    bounds = np.concatenate([[0], np.cumsum(mults)])
-    projs = np.empty((len(mults), p, p))
-    for s in range(len(mults)):
-        block = qmat[:, bounds[s] : bounds[s + 1]]
-        projs[s] = block @ block.T
-    return SpectralModel(sigma, mu, mults, projs)
+    return SpectralModel(sigma, mu, mults, _group_projectors(qmat, mults))
 
 
 def selection_gap(model: SpectralModel, sel: EigenspaceSelection) -> float:

@@ -20,6 +20,7 @@ from covbvm import (
     EmpiricalLaw,
     ExactConjugate,
     InverseWishartPrior,
+    PosteriorDraws,
     PosteriorSampler,
     SpdMatrix,
     UniformVicinityPrior,
@@ -217,7 +218,7 @@ def test_criterion_06_prior_independence():
             "trace": EmpiricalLaw(np.trace(mats, axis1=-2, axis2=-1)),
             "lambda_max": EmpiricalLaw(np.linalg.eigvalsh(mats)[:, -1]),
             "projector": posterior_projector_statistic(
-                model, sel, mats, dataset
+                model, sel, PosteriorDraws.stored(mats), dataset
             ).law,
         }
 

@@ -178,15 +178,15 @@ def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
     """The kernel's Bartlett algebra, one whole 4096-draw block at a time.
 
     Draws the block's strict-lower normals and chi-square diagonal, then forms
-    T = L B, inverts it by the same 2x2 block recursion down to LAPACK leaves
-    of size 8, and symmetrizes X^T X, each stage on the whole block.  Cache
-    blocking must reproduce these draws bit for bit.
+    T = L B, inverts it by the same 2x2 block recursion down to 1x1 leaves,
+    and symmetrizes X^T X, each stage on the whole block.  Cache blocking must
+    reproduce these draws bit for bit.
     """
 
     def tril_inv(t):
         q = t.shape[-1]
-        if q <= 8:
-            t[...] = np.linalg.inv(t)
+        if q == 1:
+            np.reciprocal(t, out=t)
             return
         h = q // 2
         tril_inv(t[:, :h, :h])
@@ -234,6 +234,16 @@ class TestInverseWishartKernel:
         _tril_inv_inplace(got)
         err = np.max(np.abs(got - ref), axis=(1, 2))
         assert np.all(err <= 1e-10 * np.max(np.abs(ref), axis=(1, 2)))
+        assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+    def test_factor_exactly_lower_triangular(self):
+        # at a small dof the columns of T = L B are far from diagonally dominant,
+        # where a pivoted inverse would leave rounding above the diagonal
+        p = 8
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale = SpdMatrix(g @ g.T / (2 * p) + np.eye(p))
+        x = sample_inverse_wishart(scale, 7.5, _CHUNK, seed=17, factor=True)
+        assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
 
     def test_matches_lapack_reference(self, case):
         scale, dof, draws = case

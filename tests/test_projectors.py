@@ -222,27 +222,27 @@ class TestProjectorStatistic:
         model = model_from_spectrum([4.0, 2.0, 1.0], [2, 6, 12], rotation_seed=8)
         data = sample_dataset(DatasetSpec(model, "gaussian", 5000, seed=9))
         scales = [1.0, 1.0 + 2.0**-52, 2.0, *np.geomspace(0.25, 4.0, 97)]
-        draws = np.stack([c * data.sample_cov.entries for c in scales])
+        draws = PosteriorDraws.stored(np.stack([c * data.sample_cov.entries for c in scales]))
         for sel in (EigenspaceSelection(1, 1), EigenspaceSelection(2, 2)):
             stat = posterior_projector_statistic(model, sel, draws, data)
             assert np.all(stat.law.values <= 1e-20)
 
     def test_blocks_match_whole_stack(self):
-        # 5000 draws come in blocks of 4096 and 904; an array is one block
+        # 5000 draws come in blocks of 4096 and 904; the whole stack is one call
         blocked = posterior_projector_statistic(self.model, self.sel, self.draws, self.data)
         mats = self.draws.matrices
-        whole = posterior_projector_statistic(self.model, self.sel, mats, self.data)
-        assert blocked.law.values.tobytes() == whole.law.values.tobytes()
-        assert blocked.near_degenerate_count == whole.near_degenerate_count == 0
+        whole, near_degenerate, _ = projector_distances(self.model, self.sel, mats, self.data)
+        assert blocked.law.values.tobytes() == np.sort(whole).tobytes()
+        assert blocked.near_degenerate_count == near_degenerate == 0
         # every eigenvalue gap of the identity is 0
         mats = mats.copy()
         mats[::7] = np.eye(3)
         blocked = posterior_projector_statistic(
             self.model, self.sel, PosteriorDraws.stored(mats), self.data
         )
-        whole = posterior_projector_statistic(self.model, self.sel, mats, self.data)
-        assert blocked.law.values.tobytes() == whole.law.values.tobytes()
-        assert blocked.near_degenerate_count == whole.near_degenerate_count == len(mats[::7])
+        whole, near_degenerate, _ = projector_distances(self.model, self.sel, mats, self.data)
+        assert blocked.law.values.tobytes() == np.sort(whole).tobytes()
+        assert blocked.near_degenerate_count == near_degenerate == len(mats[::7])
 
     def test_well_separated_spectrum_has_no_degenerates(self):
         stat = posterior_projector_statistic(
@@ -377,7 +377,6 @@ class TestProjectorBvmCheck:
             count=4000,
             l_star_j=1.0,
             seed=7,
-            concentration_replications=30,
         )
         assert report.ks_distance < 0.1
         assert report.precondition_ok

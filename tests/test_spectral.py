@@ -90,7 +90,7 @@ class TestNorms:
 
 class TestSpectralDecompose:
     def test_identity_single_group(self):
-        model = spectral_decompose(SpdMatrix(np.eye(3)), tol=1e-8)
+        model = spectral_decompose(SpdMatrix(np.eye(3)))
         assert model.num_groups == 1
         assert model.group_values[0] == pytest.approx(1.0)
         assert model.group_mults[0] == 3
@@ -106,7 +106,7 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         sigma = SpdMatrix(q @ np.diag([5.0, 5.0, 2.0, 1.0]) @ q.T)
-        model = spectral_decompose(sigma, tol=1e-8)
+        model = spectral_decompose(sigma)
         assert np.allclose(model.group_values, [5.0, 2.0, 1.0], atol=1e-8)
         assert list(model.group_mults) == [2, 1, 1]
         recon = np.einsum("s,sij->ij", model.group_values, model.group_projectors)
