@@ -33,7 +33,7 @@ from .diagnostics import (
     ks_resolution,
     tv_distance_over_statistics,
 )
-from .errors import ConfigError, CovBvmError, LowDraws
+from .errors import ConfigError, CovBvmError, LowDraws, PreconditionWarning
 from .functionals import (
     evaluate,
     functional_from_json,
@@ -251,7 +251,7 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
         warnings.warn(
             f"p/n = {model.dim / data_spec.n:.3f} > 0.1; the contraction bound's "
             "implicit constant may not apply",
-            RuntimeWarning,
+            PreconditionWarning,
         )
     radius = estimate_contraction_radius(
         prior, data_spec, grid, draws, mc["replications"], seed=seed

@@ -54,7 +54,7 @@ from .errors import (
     PoorMixing,
     RejectionStarved,
 )
-from .spd import SpdMatrix, relative_deviation, sym, upper_factors
+from .spd import SpdMatrix, sym, upper_factors, vicinity_mask
 
 _CHUNK = 4096
 # the inverse-Wishart kernel's algebra runs on sub-blocks of about this many
@@ -117,7 +117,7 @@ class InverseWishartPrior:
 
 @dataclasses.dataclass(frozen=True)
 class UniformVicinityPrior:
-    """Uniform prior on the vicinity of a center matrix (see ``spd.relative_deviation``)."""
+    """Uniform prior on the vicinity of a center matrix (see ``spd.vicinity_mask``)."""
 
     center: SpdMatrix
     delta: float
@@ -545,13 +545,6 @@ def default_sampler(prior: PriorSpec, data: Dataset, seed: int = 0) -> Posterior
 
 # ---------------------------------------------------------------------------
 # Localization helpers
-
-
-def vicinity_mask(
-    matrices: np.ndarray, center: SpdMatrix, delta_bar: float
-) -> np.ndarray:
-    """Boolean mask of draws inside the vicinity (see :func:`relative_deviation`)."""
-    return relative_deviation(matrices, center) <= delta_bar
 
 
 def localized_posterior_mass(

@@ -11,6 +11,10 @@ from .errors import NotPositiveDefinite
 
 # Relative floor (w.r.t. spectral norm) for the smallest eigenvalue.
 _PD_RTOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
+# vicinity_mask leaves a squared Frobenius norm below this to eigvalsh: under
+# it, squares lose relative accuracy to gradual underflow
+_FRO_SQ_MIN = float(np.finfo(np.float64).tiny) / _EPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +140,58 @@ def relative_deviation(mats: np.ndarray, center: SpdMatrix) -> np.ndarray:
     relative_deviation(A, center) <= delta.
     """
     return spectral_norm(mats - center.entries) / center.spectral_norm
+
+
+def vicinity_mask(matrices: np.ndarray, center: SpdMatrix, delta) -> np.ndarray:
+    """Whether each matrix lies in the vicinity of each radius.
+
+    The mask is ``relative_deviation(A, center) <= delta`` for each matrix A of
+    ``matrices`` (one matrix or a stack) and each radius of ``delta`` (one
+    radius or a 1-D grid); its shape is ``matrices.shape[:-2] + delta.shape``.
+
+    Norm bounds decide most matrices without eigenvalues.  D = A - center is
+    taken as the symmetric matrix that ``eigvalsh`` reads, A's lower triangle,
+    and max_i ||D e_i||_2 <= ||D||_2 <= min(||D||_F, ||D||_inf) (Horn and
+    Johnson, Matrix Analysis, 5.6).  With r = delta ||center||_2, a matrix is
+    inside when the upper bound is at most r (1 - kappa) and outside when the
+    lower bound exceeds r (1 + kappa).  The margin kappa = 16 p^2 eps covers
+    the bounds' own rounding, O(p) eps, and the error of LAPACK's eigenvalues,
+    p(n) eps ||D||_2 with p(n) a modest function of n (LAPACK Users' Guide,
+    4.7).  Every other matrix, and every one whose ||D||_F^2 is not finite or
+    is near underflow, goes to ``relative_deviation``.  So each decision is
+    the one ``relative_deviation(A, center) <= delta`` makes, bit for bit,
+    and the stack is decomposed only where the bounds cannot decide.  Besides
+    D, the call holds a few arrays of one value per matrix, row and radius.
+    """
+    mats = np.asarray(matrices, dtype=np.float64)
+    radii = np.asarray(delta, dtype=np.float64)
+    if mats.ndim == 2:
+        # one small eigvalsh costs less than the bounds' numpy calls
+        return relative_deviation(mats, center) <= radii
+    p = center.dim
+    stack = mats.reshape(-1, p, p)
+    # D with the matrix index last, so that every reduction below runs over
+    # whole (p, count) rows instead of over p values at a time
+    d = np.empty((p, p, len(stack)))
+    np.subtract(stack.transpose(1, 2, 0), center.entries[:, :, None], out=d)
+    for i in range(p - 1):
+        d[i, i + 1 :] = d[i + 1 :, i]
+    row_sq = np.einsum("ijk,ijk->ik", d, d)
+    fro_sq = row_sq.sum(axis=0)
+    col = (-1,) + (1,) * radii.ndim
+    lower = np.sqrt(row_sq.max(axis=0)).reshape(col)
+    upper = np.minimum(np.sqrt(fro_sq), np.abs(d, out=d).sum(axis=1).max(axis=0)).reshape(col)
+    kappa = 16 * p * p * _EPS
+    r = radii * center.spectral_norm
+    inside = upper <= r * (1.0 - kappa)
+    undecided = ~(inside | (lower > r * (1.0 + kappa)))
+    undecided = undecided.reshape(len(stack), radii.size).any(axis=1)
+    undecided |= ~((fro_sq >= _FRO_SQ_MIN) & (fro_sq < np.inf))
+    rows = np.nonzero(undecided)[0]
+    if len(rows):
+        dev = relative_deviation(stack[rows], center)
+        inside[rows] = dev.reshape(col) <= radii
+    return inside.reshape(mats.shape[:-2] + radii.shape)
 
 
 def save_matrix_csv(path, m: SpdMatrix | np.ndarray) -> None:

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import warnings
@@ -6,7 +5,7 @@ import warnings
 import pytest
 
 from covbvm.cli import _write_json, config_hash, main, run
-from covbvm.errors import ConfigError, LowDraws
+from covbvm.errors import ConfigError, LowDraws, PreconditionWarning
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -224,15 +223,11 @@ class TestValidation:
             "budget-overflowing-rho", "budget-nan-n",
         ],
     )
-    def test_malformed_config_exits_2(self, request, tmp_path, capsys, cfg, path):
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):
         config = write_config(tmp_path, cfg)
-        # the bridge's radius search warns before the config error
-        warns = (
-            pytest.warns(RuntimeWarning, match="contraction grid exhausted")
-            if request.node.callspec.id == "bridge-grid-exhausted"
-            else contextlib.nullcontext()
-        )
-        with warns:
+        # the config error ends the run, not a warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f": {path}" in capsys.readouterr().err
 
@@ -398,6 +393,25 @@ class TestExperimentCommands:
         assert len(lines) == 3
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
         assert rows == [[1e-3, report["rho"][0]], [1e-2, report["rho"][1]]]
+
+    def test_contraction_reports_inf_without_warning(self, tmp_path):
+        # no radius of the grid holds posterior mass 1 - 1/n
+        cfg = base_config(
+            "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
+            delta_grid=[0.001], monte_carlo={"posterior_draws": 1000, "replications": 2},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(cfg, out_override=str(tmp_path / "out"))
+        assert report["radius"] == "inf"
+
+    def test_contraction_warns_when_p_over_n_is_large(self, tmp_path):
+        cfg = base_config(
+            "contraction", data={"n": 20}, prior={"kind": "inverse_wishart"},
+            delta_grid=[0.5, 1.0, 2.0], monte_carlo={"posterior_draws": 1000, "replications": 2},
+        )
+        with pytest.warns(PreconditionWarning, match="p/n = 0.150"):
+            run(cfg, out_override=str(tmp_path / "out"))
 
     def test_coverage_command(self, tmp_path):
         cfg = base_config(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,10 +132,11 @@ class TestContraction:
         rate = math.sqrt((p + math.log(n)) / n)
         assert rate / 3 <= radius <= 5 * rate
 
-    def test_exhausted_grid_warns_and_returns_inf(self):
+    def test_exhausted_grid_returns_inf(self):
         model = model_from_spectrum([1.0], [2])
         spec = DatasetSpec(model, "gaussian", 50, seed=0)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             radius = estimate_contraction_radius(
                 default_inverse_wishart_prior(2), spec, [1e-6, 2e-6], 1000, 5
             )

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import covbvm.errors
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # __init__.py modules import names to re-export them
 MODULES = sorted(
@@ -145,6 +147,50 @@ def test_field_checker_finds_unread_fields():
 def test_no_unread_dataclass_fields():
     package = (ROOT / "src/covbvm").glob("*.py")
     assert unread_dataclass_fields([path.read_text() for path in package]) == []
+
+
+def foreign_warnings(source: str, allowed) -> list[str]:
+    """``line: category`` for each ``warnings.warn`` call whose category is
+    not a name in ``allowed``; a call without one warns as UserWarning."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "warn"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "warnings"
+        ):
+            continue
+        given = [kw.value for kw in node.keywords if kw.arg == "category"] + node.args[1:2]
+        category = ast.unparse(given[0]) if given else "UserWarning"
+        if category not in allowed:
+            found.append(f"{node.lineno}: {category}")
+    return found
+
+
+def test_warning_checker_finds_foreign_categories():
+    source = (
+        "warnings.warn('a', RuntimeWarning)\n"
+        "warnings.warn('b')\n"
+        "warnings.warn('c', LowDraws)\n"
+        "warnings.warn('d', category=errors.LowDraws)\n"
+        "warnings.warn('e', category=PoorMixing, stacklevel=2)\n"
+        "log.warn('f', RuntimeWarning)\n"
+    )
+    allowed = {"LowDraws", "PoorMixing"}
+    assert foreign_warnings(source, allowed) == [
+        "1: RuntimeWarning", "2: UserWarning", "4: errors.LowDraws"
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_warnings_use_package_categories(path):
+    allowed = {
+        name for name, obj in vars(covbvm.errors).items()
+        if isinstance(obj, type) and issubclass(obj, Warning)
+    }
+    assert foreign_warnings(path.read_text(), allowed) == []
 
 
 def test_import_leaves_out_heavy_scipy_modules():
