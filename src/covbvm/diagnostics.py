@@ -143,8 +143,7 @@ def estimate_contraction_radius(
         sampler = default_sampler(prior, dataset, seed=derived_seed(seed, k))
         draws = sample_posterior(sampler, draws_per_point)
         inside = sum(
-            vicinity_mask(block, model.sigma_star, delta_grid).sum(axis=0)
-            for block in draws.blocks()
+            draws.map(lambda block: vicinity_mask(block, model.sigma_star, delta_grid).sum(axis=0))
         )
         success += inside / len(draws) >= level
     needed = math.ceil(level * replications)

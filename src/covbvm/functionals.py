@@ -170,9 +170,9 @@ def evaluate_batch(functional: FunctionalSpec, factors: np.ndarray) -> np.ndarra
 
 def functional_values(functional: FunctionalSpec, draws: PosteriorDraws) -> np.ndarray:
     """The functional at every posterior draw, reduced block by block on the
-    draws' factors (``PosteriorDraws.factor_blocks``); no Sigma block is formed
-    for streamed draws."""
-    return np.concatenate([evaluate_batch(functional, x) for x in draws.factor_blocks()])
+    draws' factors (``PosteriorDraws.blocks(factor=True)``); no Sigma block is
+    formed for streamed draws."""
+    return np.concatenate(draws.map(lambda x: evaluate_batch(functional, x), factor=True))
 
 
 def linearization_residual(

@@ -1,39 +1,46 @@
 """Pseudo-posterior sampling for covariance matrices.
 
-The Gaussian log-likelihood is used regardless of the data family.  With an
-inverse Wishart prior the posterior is conjugate and sampled exactly: the
-Wishart precision is T T^T with T = L B lower triangular (L the Cholesky factor
-of the inverse scale, B the Bartlett factor), so each draw is X^T X with
-X = T^-1, found by 2x2 block recursion down to T's diagonal without forming or
-inverting the full precision, so X is exactly lower triangular.  That algebra
-runs on cache-sized sub-blocks of each block of draws, so the sampler holds its
-output, one block's normals and three sub-block buffers, not several
-block-sized arrays.  With ``factor=True`` the sampler returns the triangular X
-itself and skips X^T X, for statistics that reduce the factor (the
-functionals).
+The Gaussian log-likelihood is used regardless of the data family.  Each kind
+of prior has one sampling method, and ``_SAMPLERS`` maps each method to its
+prior kind and its sampler, for ``PosteriorSampler``, ``default_sampler`` and
+``sample_posterior`` alike.
 
-Arbitrary density-evaluable priors go through a random-walk Metropolis chain
-on the Cholesky factor; its theta -> Sigma map and log-Jacobian are set up once
-per chain.  The Gaussian-type densities it evaluates (the likelihood and the
-inverse Wishart prior) factor Sigma = L L^T with LAPACK ``dpotrf`` and find
-each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one triangular
-``dtrtrs`` solve against a cached Cholesky factor F, called directly because
-numpy's ``linalg`` overhead dwarfs the work on small matrices.  A uniform prior
-on a vicinity is sampled by exact rejection: draws from the flat-likelihood
-inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are kept when they fall
-inside the vicinity.
+With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
+and sampled exactly: the Wishart precision is T T^T with T = L B lower
+triangular (L the Cholesky factor of the inverse scale, B the Bartlett
+factor), so each draw is X^T X with X = T^-1, found by 2x2 block recursion
+down to T's diagonal without forming or inverting the full precision, so X is
+exactly lower triangular.  That algebra runs on cache-sized sub-blocks
+(``sub_block_size``) of each block of draws, so the sampler holds its output,
+one block's normals and three sub-block buffers, not several block-sized
+arrays.  With ``factor=True`` the sampler returns the triangular X itself and
+skips X^T X, for statistics that reduce the factor (the functionals).
 
-Posterior draws are consumed in blocks of at most ``_CHUNK`` = 4096 matrices.
-Exact conjugate draws are streamed: each pass over ``PosteriorDraws.blocks()``
-draws them afresh from the sampler's seed, one ``sample_inverse_wishart`` call
-per block on one shared generator, so a statistic that reduces each block to
-scalars never holds the (M, p, p) stack.  ``PosteriorDraws.matrices`` builds
-that stack from the same blocks, byte-identical, for the consumers that need
-every draw at once.  ``PosteriorDraws.factor_blocks()`` yields the factors X
-with Sigma = X^T X of the same draws: streamed from the seed for exact draws,
-by Cholesky of each stored block otherwise.  The Metropolis and rejection
-samplers run when ``sample_posterior`` is called, and their blocks are slices
-of the stored draws.
+A uniform prior on a vicinity (``RejectionInVicinity``) is sampled by exact
+rejection: draws from the flat-likelihood inverse Wishart IW(nS, n - p - 1),
+which needs n > 2p, are kept when they fall inside the vicinity.  A
+density-evaluable ``GenericPrior`` (``Metropolis``) goes through a random-walk
+Metropolis chain on the Cholesky factor, whose theta -> Sigma map and
+log-Jacobian are set up once per chain; a conjugate prior runs on the chain
+when its ``log_density`` is wrapped in a ``GenericPrior``.  The Gaussian-type
+densities (the likelihood and the inverse Wishart prior) factor Sigma = L L^T
+with LAPACK ``dpotrf`` and find each trace term Tr(Sigma^-1 F F^T) =
+||L^-1 F||_F^2 with one triangular ``dtrtrs`` solve against a cached Cholesky
+factor F, called directly because numpy's ``linalg`` overhead dwarfs the work
+on small matrices.
+
+Posterior draws are consumed in blocks of at most ``_CHUNK`` = 4096 matrices,
+through ``PosteriorDraws.blocks(factor)``: the Sigma draws, or with
+``factor=True`` factors X with Sigma = X^T X.  Exact conjugate draws are
+streamed: each pass draws them afresh from the sampler's seed, one
+``sample_inverse_wishart`` call per block on one shared generator, so a
+statistic that reduces each block to scalars never holds the (M, p, p) stack.
+``PosteriorDraws.map(fn, factor)`` is that reduction, and it holds one block
+at a time.  ``PosteriorDraws.matrices`` builds the stack from the same
+blocks, byte-identical, for the consumers that need every draw at once.  The
+Metropolis and rejection samplers run when ``sample_posterior`` is called,
+their blocks are slices of the stored draws, and their factors come from a
+Cholesky factorization of each block.
 """
 
 from __future__ import annotations
@@ -57,9 +64,16 @@ from .errors import (
 from .spd import SpdMatrix, sym, upper_factors, vicinity_mask
 
 _CHUNK = 4096
-# the inverse-Wishart kernel's algebra runs on sub-blocks of about this many
-# bytes of (p, p) matrices, so that each stays in cache
+# batched (p, p) algebra runs on sub-blocks of about this many bytes of
+# matrices, so that each stays in cache
 _SUB_BYTES = 1 << 20
+# the Metropolis chain's initial random-walk step in theta, adapted during burn-in
+_STEP_SCALE = 0.1
+
+
+def sub_block_size(p: int) -> int:
+    """Matrices per cache-sized sub-block of a stack of (p, p) float64 matrices."""
+    return max(1, _SUB_BYTES // (8 * p * p))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +224,8 @@ def sample_inverse_wishart(
     Each block of ``_CHUNK`` draws takes its strict-lower normals (row-major
     ``np.tril_indices`` order) and then its chi-square diagonal from the
     stream, which fixes the draws for a seed.  The algebra then runs over
-    sub-blocks of max(1, ``_SUB_BYTES`` // 8p^2) draws, small enough to stay
-    in cache, in three reused buffers (B, X and A = X^T X), and writes the
+    sub-blocks of ``sub_block_size(p)`` draws, small enough to stay in
+    cache, in three reused buffers (B, X and A = X^T X), and writes the
     exactly symmetric 0.5 (A + A^T) straight into the (count, p, p) output.
     Besides the output, the call holds one block's normals, about half a
     block, and the three sub-block buffers: one 4096-draw call at p = 50
@@ -237,7 +251,7 @@ def sample_inverse_wishart(
     df = dof - np.arange(p)
     il, jl = np.tril_indices(p, -1)
     lower, diag = il * p + jl, np.arange(p) * (p + 1)
-    sub = min(max(1, _SUB_BYTES // (8 * p * p)), count, _CHUNK)
+    sub = min(sub_block_size(p), count, _CHUNK)
     bart = np.zeros((sub, p, p))  # its upper triangle stays zero
     if not factor:
         x, xtx = np.empty_like(bart), np.empty_like(bart)
@@ -275,7 +289,6 @@ class ExactConjugate:
 
 @dataclasses.dataclass(frozen=True)
 class Metropolis:
-    step_scale: float = 0.1
     burn_in: int = 2000
     thin: int = 5
 
@@ -293,15 +306,13 @@ class PosteriorSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.method, ExactConjugate) and not isinstance(
-            self.prior, InverseWishartPrior
-        ):
-            raise BadDimension("exact conjugate sampling needs an inverse Wishart prior")
-        if isinstance(self.method, RejectionInVicinity) and not isinstance(
-            self.prior, UniformVicinityPrior
-        ):
-            # conjugate priors are sampled exactly, generic ones by Metropolis
-            raise BadDimension("vicinity rejection needs a uniform-vicinity prior")
+        if type(self.method) not in _SAMPLERS:
+            raise TypeError(f"unknown sampling method {self.method!r}")
+        kind = _SAMPLERS[type(self.method)][0]
+        if not isinstance(self.prior, kind):
+            raise BadDimension(
+                f"{type(self.method).__name__} takes only a prior of type {kind.__name__}"
+            )
         prior_dim = getattr(self.prior, "dim", self.data.dim)
         if prior_dim != self.data.dim:
             raise BadDimension(
@@ -315,7 +326,8 @@ class PosteriorDraws:
     ``stream(factor)`` yields the blocks afresh, the same on every call: the
     Sigma draws, or with ``factor=True`` their triangular factors X with
     Sigma = X^T X.  ``matrices`` builds the (M, p, p) stack from them once;
-    after that, and for draws made ``stored``, blocks are slices of the stack.
+    after that, and for draws made ``stored``, Sigma blocks are slices of the
+    stack.
     """
 
     def __init__(
@@ -339,21 +351,28 @@ class PosteriorDraws:
     def __len__(self) -> int:
         return self._count
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        if self._stack is None:
-            return self._stream(factor=False)
-        return (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
-
-    def factor_blocks(self) -> Iterator[np.ndarray]:
-        """Blocks of factors X with Sigma = X^T X, one per draw of ``blocks()``.
+    def blocks(self, factor: bool = False) -> Iterator[np.ndarray]:
+        """Blocks of the Sigma draws or, with ``factor=True``, of factors X with
+        Sigma = X^T X, one per draw.
 
         Streamed draws yield the sampler's lower-triangular X from the same
         seed; stored draws yield the transposed Cholesky factor of each
         matrix, upper triangular, and raise NotPositiveDefinite if one fails.
         """
-        if self._stream is not None:
-            return self._stream(factor=True)
-        return (upper_factors(block) for block in self.blocks())
+        if self._stream is not None and (factor or self._stack is None):
+            return self._stream(factor=factor)
+        sigmas = (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
+        return map(upper_factors, sigmas) if factor else sigmas
+
+    def map(self, fn: Callable[[np.ndarray], object], factor: bool = False) -> list:
+        """fn of each block of ``blocks(factor)``, in order.
+
+        A loop or comprehension keeps its last block referenced while the
+        sampler draws the next, so it holds two blocks at once; ``map``
+        releases each block once fn has returned, so one block is alive at a
+        time.
+        """
+        return list(map(fn, self.blocks(factor)))
 
     @property
     def matrices(self) -> np.ndarray:
@@ -366,11 +385,6 @@ class PosteriorDraws:
                 stack[start : start + len(block)] = block
             self._stack = stack
         return self._stack
-
-
-def per_draw(fn: Callable[[np.ndarray], np.ndarray], draws: PosteriorDraws):
-    """fn's values over posterior draws, one per matrix, computed block by block."""
-    return np.concatenate([fn(block) for block in draws.blocks()])
 
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
@@ -446,14 +460,9 @@ def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     cmap = _CholeskyMap(p)
     theta = cmap.theta(sampler.data.sample_cov.cholesky)
     cur_lp = _log_target(theta, sampler, cmap)
-    # For a vicinity prior the sample covariance may start outside the support;
-    # fall back to the prior center.
-    if not math.isfinite(cur_lp) and isinstance(sampler.prior, UniformVicinityPrior):
-        theta = cmap.theta(sampler.prior.center.cholesky)
-        cur_lp = _log_target(theta, sampler, cmap)
     if not math.isfinite(cur_lp):
         raise RejectionStarved("no valid Metropolis starting point")
-    step = method.step_scale
+    step = _STEP_SCALE
     total = method.burn_in + count * method.thin
     accepted_post = 0
     proposals_post = 0
@@ -519,27 +528,26 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     return PosteriorDraws.stored(np.concatenate(kept)[:count])
 
 
+# each sampling method: the one prior kind it samples, and its sampler
+_SAMPLERS = {
+    ExactConjugate: (InverseWishartPrior, _sample_exact),
+    RejectionInVicinity: (UniformVicinityPrior, _sample_rejection),
+    Metropolis: (GenericPrior, _sample_metropolis),
+}
+
+
 def sample_posterior(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     """Draw count matrices from the pseudo-posterior described by the sampler."""
     if count < 1:
         raise ValueError("count must be positive")
-    if isinstance(sampler.method, ExactConjugate):
-        return _sample_exact(sampler, count)
-    if isinstance(sampler.method, Metropolis):
-        return _sample_metropolis(sampler, count)
-    if isinstance(sampler.method, RejectionInVicinity):
-        return _sample_rejection(sampler, count)
-    raise TypeError(f"unknown sampling method {sampler.method!r}")
+    return _SAMPLERS[type(sampler.method)][1](sampler, count)
 
 
 def default_sampler(prior: PriorSpec, data: Dataset, seed: int = 0) -> PosteriorSampler:
-    """Natural sampling method for each prior kind."""
-    if isinstance(prior, InverseWishartPrior):
-        return PosteriorSampler(prior, data, ExactConjugate(), seed)
-    if isinstance(prior, UniformVicinityPrior):
-        return PosteriorSampler(prior, data, RejectionInVicinity(), seed)
-    if isinstance(prior, GenericPrior):
-        return PosteriorSampler(prior, data, Metropolis(), seed)
+    """The sampling method of the prior's kind."""
+    for method, (kind, _) in _SAMPLERS.items():
+        if isinstance(prior, kind):
+            return PosteriorSampler(prior, data, method(), seed)
     raise TypeError(f"unknown prior {prior!r}")
 
 
@@ -559,7 +567,7 @@ def localized_posterior_mass(
         return 0.0
     draws = sample_posterior(sampler, count)
     center = sampler.data.spec.model.sigma_star
-    inside = per_draw(lambda block: vicinity_mask(block, center, delta_bar), draws)
+    inside = np.concatenate(draws.map(lambda block: vicinity_mask(block, center, delta_bar)))
     return float(np.mean(inside))
 
 

@@ -27,11 +27,11 @@ from .diagnostics import (
     kolmogorov_distance,
 )
 from .posterior import (
-    _SUB_BYTES,
     PosteriorDraws,
     PriorSpec,
     default_sampler,
     sample_posterior,
+    sub_block_size,
 )
 from .spd import norms
 from .spectral import (
@@ -206,7 +206,7 @@ def projector_distances(
     basis = np.concatenate([vecs[:, index_set], hat_perp], axis=1)
     values = np.empty(len(mats))
     kept = np.empty(len(mats), dtype=bool)
-    sub = max(1, _SUB_BYTES // (8 * p * p))
+    sub = sub_block_size(p)
     for start in range(0, len(mats), sub):
         part = slice(start, start + sub)
         values[part], kept[part] = _riccati_distances(
@@ -231,6 +231,10 @@ def posterior_projector_statistic(
     index sets are used verbatim) but counted and reported, and so are the
     draws whose distance came from ``numpy.linalg.eigh``.
     """
+    # a comprehension, not PosteriorDraws.map, so two Sigma blocks are alive
+    # while the next is drawn: below p = 32 a block lives on the malloc heap,
+    # and glibc returns freed heap to the system only past about two blocks,
+    # so a one-block working set (about 20 MB at p = 20) would stay resident
     parts = [projector_distances(model, sel, block, dataset) for block in draws.blocks()]
     values = np.concatenate([block_values for block_values, _, _ in parts])
     near_degenerate = sum(count for _, count, _ in parts)

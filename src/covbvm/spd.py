@@ -128,16 +128,24 @@ def upper_factors(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> np.ndarray:
-    """Spectral norm of a symmetric matrix or stack of symmetric matrices."""
-    eigs = np.linalg.eigvalsh(a)
-    return np.max(np.abs(eigs), axis=-1)
+    """Spectral norm of a symmetric matrix or stack of symmetric matrices;
+    NaN for a matrix with a non-finite entry."""
+    a = np.asarray(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    norm = np.full(finite.shape, np.nan)
+    # eigvalsh reads a NaN as zero and raises on an infinity, so it gets only
+    # the finite matrices
+    eigs = np.linalg.eigvalsh(a if finite.all() else a[finite])
+    norm[finite] = np.max(np.abs(eigs), axis=-1)
+    return norm[()]
 
 
 def relative_deviation(mats: np.ndarray, center: SpdMatrix) -> np.ndarray:
     """Relative spectral deviation ||A - center|| / ||center|| of a matrix or stack.
 
     The vicinity of radius delta around a center is the set of symmetric A with
-    relative_deviation(A, center) <= delta.
+    relative_deviation(A, center) <= delta; a matrix with a non-finite entry
+    deviates by NaN, so it lies in no vicinity.
     """
     return spectral_norm(mats - center.entries) / center.spectral_norm
 

@@ -45,6 +45,41 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """``module:name`` for each ``_``-prefixed name imported from a package
+    module (a relative import or one from ``covbvm``); dunders are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "covbvm"
+        ):
+            origin = "." * node.level + (node.module or "")
+            found.extend(
+                f"{origin}:{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            )
+    return found
+
+
+def test_private_import_checker_finds_private_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _pytesttester\n"
+        "from . import __version__, _helper\n"
+        "from .posterior import _CHUNK as chunk, sample_posterior\n"
+        "from covbvm.spd import _EPS\n"
+    )
+    assert private_imports(source) == [".:_helper", ".posterior:_CHUNK", "covbvm.spd:_EPS"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    # a private name is one module's own decision; another module that needs
+    # it calls a public function of its owner
+    assert private_imports(path.read_text()) == []
+
+
 def unused_parameters(source: str, exempt=frozenset()) -> list[str]:
     """``function.parameter`` for each parameter its function's body never reads.
 

@@ -332,7 +332,7 @@ class TestDrawStream:
         draws = sample_posterior(sampler, count)
         sigmas = np.concatenate(list(draws.blocks()))
         for _ in range(2):
-            factors = list(draws.factor_blocks())
+            factors = list(draws.blocks(factor=True))
             assert [len(x) for x in factors] == [_CHUNK, 17]
             x = np.concatenate(factors)
             assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
@@ -340,7 +340,7 @@ class TestDrawStream:
             assert ((squares + squares.swapaxes(1, 2)) * 0.5).tobytes() == sigmas.tobytes()
         # materializing the stack leaves the factors streamed from the seed
         draws.matrices
-        assert np.concatenate(list(draws.factor_blocks())).tobytes() == x.tobytes()
+        assert np.concatenate(list(draws.blocks(factor=True))).tobytes() == x.tobytes()
 
     def test_stored_factor_blocks(self):
         model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
@@ -348,14 +348,14 @@ class TestDrawStream:
         scale, dof = conjugate_posterior_params(default_inverse_wishart_prior(4), data)
         mats = sample_inverse_wishart(scale, dof, _CHUNK + 5, seed=6)
         draws = PosteriorDraws.stored(mats)
-        factors = list(draws.factor_blocks())
+        factors = list(draws.blocks(factor=True))
         assert [len(x) for x in factors] == [_CHUNK, 5]
         x = np.concatenate(factors)
         assert np.array_equal(np.tril(x, -1), np.zeros_like(x))
         assert np.allclose(x.swapaxes(1, 2) @ x, mats, rtol=1e-12, atol=0)
         mats[3] = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefinite):
-            list(PosteriorDraws.stored(mats).factor_blocks())
+            list(PosteriorDraws.stored(mats).blocks(factor=True))
 
 
 class TestSamplePosterior:
@@ -374,31 +374,40 @@ class TestSamplePosterior:
         assert spectral_norm(draws.matrices.mean(axis=0) - self.ds.sample_cov.entries) < 0.05
         assert spectral_norm(draws.matrices.mean(axis=0) - target) < 0.01
 
-    def test_exact_requires_conjugate_prior(self):
+    @pytest.mark.parametrize(
+        "method, kind",
+        [
+            (ExactConjugate, "uniform"),
+            (ExactConjugate, "generic"),
+            (RejectionInVicinity, "conjugate"),
+            (RejectionInVicinity, "generic"),
+            (Metropolis, "conjugate"),
+            (Metropolis, "uniform"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_method_refuses_other_prior_kinds(self, method, kind):
+        # each method samples one prior kind; a conjugate prior runs on the
+        # chain only when wrapped in a GenericPrior
+        prior = {
+            "conjugate": self.prior,
+            "uniform": UniformVicinityPrior(self.model.sigma_star, 0.5),
+            "generic": GenericPrior(self.prior.log_density),
+        }[kind]
         with pytest.raises(BadDimension):
-            PosteriorSampler(
-                UniformVicinityPrior(self.model.sigma_star, 0.5), self.ds, ExactConjugate(), 0
-            )
+            PosteriorSampler(prior, self.ds, method(), 0)
 
     def test_metropolis_matches_exact(self):
         small_spec = DatasetSpec(self.model, "gaussian", 500, seed=12)
         ds = sample_dataset(small_spec)
         exact = sample_posterior(PosteriorSampler(self.prior, ds, ExactConjugate(), 2), 50_000)
         mh = sample_posterior(
-            PosteriorSampler(self.prior, ds, Metropolis(burn_in=4000, thin=10), 3), 20_000
+            PosteriorSampler(
+                GenericPrior(self.prior.log_density), ds, Metropolis(burn_in=4000, thin=10), 3
+            ),
+            20_000,
         )
         assert tv_distance_over_statistics(exact, mh) <= 0.03
-
-    def test_metropolis_falls_back_to_vicinity_center(self):
-        # the sample covariance lies outside a vicinity around 2 Sigma*
-        center = SpdMatrix(2.0 * self.model.sigma_star.entries)
-        prior = UniformVicinityPrior(center, 0.2)
-        assert not vicinity_mask(self.ds.sample_cov.entries, center, 0.2)
-        draws = sample_posterior(
-            PosteriorSampler(prior, self.ds, Metropolis(burn_in=1000, thin=2), 4), 200
-        )
-        assert len(draws) == 200
-        assert np.all(vicinity_mask(draws.matrices, center, 0.2))
 
     def test_uniform_vicinity_support(self):
         prior = UniformVicinityPrior(self.model.sigma_star, 0.3)
@@ -443,23 +452,12 @@ class TestSamplePosterior:
         with pytest.raises(BadDegreesOfFreedom):
             sample_posterior(default_sampler(prior, ds, 0), 10)
 
-    def test_rejection_refuses_generic_prior(self):
-        prior = GenericPrior(self.prior.log_density)
-        with pytest.raises(BadDimension):
-            PosteriorSampler(prior, self.ds, RejectionInVicinity(), 0)
-
     def test_prior_dimension_must_match_data(self):
-        # a 2 x 2 vicinity center on 3-dimensional data
-        prior = UniformVicinityPrior(SpdMatrix(np.eye(2)), 0.3)
+        # a 2 x 2 vicinity center or conjugate scale on 3-dimensional data
         with pytest.raises(BadDimension):
-            default_sampler(prior, self.ds, 0)
+            default_sampler(UniformVicinityPrior(SpdMatrix(np.eye(2)), 0.3), self.ds, 0)
         with pytest.raises(BadDimension):
-            PosteriorSampler(prior, self.ds, Metropolis(), 0)
-
-    def test_rejection_refuses_conjugate_prior(self):
-        # conjugate priors are sampled exactly; rejection takes only uniform priors
-        with pytest.raises(BadDimension):
-            PosteriorSampler(self.prior, self.ds, RejectionInVicinity(), 0)
+            PosteriorSampler(default_inverse_wishart_prior(2), self.ds, ExactConjugate(), 0)
 
     def test_localized_mass_extremes(self):
         sampler = default_sampler(self.prior, self.ds, 5)
@@ -525,7 +523,7 @@ class TestMetropolisChain:
             for i in range(1, p + 1)
         )
         expect = log_likelihood(sigma, self.ds) + self.prior.log_density(sigma) + log_jac
-        sampler = PosteriorSampler(self.prior, self.ds, Metropolis(), 0)
+        sampler = PosteriorSampler(GenericPrior(self.prior.log_density), self.ds, Metropolis(), 0)
         got = _log_target(self.theta, sampler, _CholeskyMap(p))
         assert got == pytest.approx(expect, rel=1e-12)
 

@@ -133,6 +133,25 @@ class TestMembership:
                                   eigvalsh_mask(mats, center, radii))
             assert sum(fallback) == len(mats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrices_lie_outside(self, bad):
+        # eigvalsh reads a NaN as zero and raises on an infinity: a NaN on the
+        # identity's diagonal read as norm 1.0, inside every vicinity of I
+        center = SpdMatrix(np.eye(3))
+        entry = np.eye(3)
+        entry[0, 0] = bad
+        mats = np.stack([np.eye(3), entry, np.full((3, 3), bad)])
+        assert np.array_equal(spd.spectral_norm(mats), [1.0, np.nan, np.nan], equal_nan=True)
+        assert np.isnan(spd.spectral_norm(entry))
+        grid = np.array([0.1, 1.0, 10.0])
+        assert vicinity_mask(mats, center, 0.5).tolist() == [True, False, False]
+        assert vicinity_mask(mats, center, grid).tolist() == [[True] * 3] + [[False] * 3] * 2
+        prior = UniformVicinityPrior(center, 10.0)
+        for a in mats[1:]:
+            assert not vicinity_mask(a, center, 10.0)
+            assert not vicinity_mask(a, center, grid).any()
+            assert prior.log_density(a) == -math.inf
+
     def test_empty_stack(self):
         center = random_center(3, 0)
         assert vicinity_mask(np.empty((0, 3, 3)), center, [0.1, 0.2]).shape == (0, 2)
