@@ -379,8 +379,6 @@ class TestSamplePosterior:
         [
             (ExactConjugate, "uniform"),
             (ExactConjugate, "generic"),
-            (RejectionInVicinity, "conjugate"),
-            (RejectionInVicinity, "generic"),
             (Metropolis, "conjugate"),
             (Metropolis, "uniform"),
         ],
@@ -396,6 +394,16 @@ class TestSamplePosterior:
         }[kind]
         with pytest.raises(BadDimension):
             PosteriorSampler(prior, self.ds, method(), 0)
+
+    def test_rejection_refuses_generic_prior(self):
+        prior = GenericPrior(self.prior.log_density)
+        with pytest.raises(BadDimension):
+            PosteriorSampler(prior, self.ds, RejectionInVicinity(), 0)
+
+    def test_rejection_refuses_conjugate_prior(self):
+        # conjugate priors are sampled exactly; rejection takes only uniform priors
+        with pytest.raises(BadDimension):
+            PosteriorSampler(self.prior, self.ds, RejectionInVicinity(), 0)
 
     def test_metropolis_matches_exact(self):
         small_spec = DatasetSpec(self.model, "gaussian", 500, seed=12)
