@@ -27,7 +27,9 @@ densities (the likelihood and the inverse Wishart prior) factor Sigma = L L^T
 with LAPACK ``dpotrf`` and find each trace term Tr(Sigma^-1 F F^T) =
 ||L^-1 F||_F^2 with one triangular ``dtrtrs`` solve against a cached Cholesky
 factor F, called directly because numpy's ``linalg`` overhead dwarfs the work
-on small matrices.
+on small matrices.  Both come from ``scipy.linalg``, which is imported at the
+first density evaluation, so importing the package and sampling the exact and
+rejection posteriors load no scipy module.
 
 Posterior draws are consumed in blocks of at most ``_CHUNK`` = 4096 matrices,
 through ``PosteriorDraws.blocks(factor)``: the Sigma draws, or with
@@ -51,7 +53,6 @@ import warnings
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .datagen import Dataset, derived_rng, derived_seed
 from .errors import (
@@ -80,9 +81,26 @@ def sub_block_size(p: int) -> int:
 # Factor and solve
 
 
+# scipy's LAPACK routines, bound by _bind_lapack at the first density
+# evaluation: importing scipy.linalg takes longer than importing numpy, and a
+# command that evaluates no density should not pay for it.  They are bound once
+# per process, because an import statement costs about 0.45 us per call and a
+# Metropolis chain makes tens of thousands of calls.
+_dpotrf = _dtrtrs = None
+
+
+def _bind_lapack() -> None:
+    global _dpotrf, _dtrtrs
+    from scipy.linalg import lapack
+
+    _dpotrf, _dtrtrs = lapack.dpotrf, lapack.dtrtrs
+
+
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a, by LAPACK ``dpotrf``; raises off the SPD cone."""
-    chol, info = lapack.dpotrf(a, lower=1, clean=1)
+    if _dpotrf is None:
+        _bind_lapack()
+    chol, info = _dpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"{what} needs an SPD matrix")
     return chol
@@ -95,7 +113,9 @@ def _log_det(chol: np.ndarray) -> float:
 
 def _solved_sq_norm(chol: np.ndarray, factor: np.ndarray) -> float:
     """||L^-1 F||_F^2 for lower-triangular L, by one LAPACK ``dtrtrs`` solve."""
-    x, _ = lapack.dtrtrs(chol, factor, lower=1)
+    if _dtrtrs is None:
+        _bind_lapack()
+    x, _ = _dtrtrs(chol, factor, lower=1)
     return float(np.vdot(x, x))
 
 
@@ -379,10 +399,14 @@ class PosteriorDraws:
         """The (M, p, p) stack of all draws."""
         if self._stack is None:
             stack = None
-            for start, block in zip(range(0, self._count, _CHUNK), self.blocks()):
+            start = 0
+            for block in self.blocks():
                 if stack is None:
                     stack = np.empty((self._count, *block.shape[1:]))
                 stack[start : start + len(block)] = block
+                start += len(block)
+                # released before the sampler draws the next block
+                del block
             self._stack = stack
         return self._stack
 

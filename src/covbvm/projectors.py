@@ -9,6 +9,10 @@ refined from it by an invariant-subspace (Riccati) iteration in that
 eigenbasis, a few small batched products per step.  A draw the iteration
 cannot resolve, because it did not converge or because its selected
 eigenvalues are not provably apart from the rest, goes to ``numpy.linalg.eigh``.
+
+The reference law's CDF needs ``scipy.special``'s ``gammaln`` and
+``gammainc``; they are imported when a CDF is first evaluated, so the
+projector distances alone load no scipy module.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .datagen import Dataset, DatasetSpec, derived_rng, estimate_delta_hat, sample_dataset
 from .diagnostics import (
@@ -119,7 +122,9 @@ def _riccati_distances(
     near-degenerate; the residual left in the off-diagonal block and the
     rounding of the discs are a few eps |A|, far below that floor.  Each draw
     stops on its own residual and keeps its Z from then on, so its value does
-    not depend on the other matrices of the stack.
+    not depend on the other matrices of the stack.  Converged draws leave the
+    iteration: the rest are gathered and continue alone, so one slow draw
+    does not keep its whole stack iterating.
     """
     k, p, _ = mats.shape
     a = np.matmul(basis.T, mats @ basis)
@@ -134,23 +139,31 @@ def _riccati_distances(
     z = np.zeros((k, p - m, m))
     kept = np.zeros_like(z)
     converged = np.zeros(k, dtype=bool)
+    # the draws still iterating: their rows of the stack and their blocks
+    rows = np.arange(k)
+    live = (a11, a12, a21, a22, denom, scale, a21_size)
     # identity-like draws give zero denominators and non-finite steps, which
     # never pass the residual test
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_REFINE_STEPS):
-            f = a22 @ z
-            f += a21
-            f -= z @ (a11 + a12 @ z)
+            l11, l12, l21, l22, l_denom, l_scale, l_a21_size = live
+            f = l22 @ z
+            f += l21
+            f -= z @ (l11 + l12 @ z)
             residual = np.max(np.abs(f), axis=(1, 2), initial=0.0)
             z_size = np.max(np.abs(z), axis=(1, 2), initial=0.0)
-            tol = _REFINE_TOL * p * (a21_size + scale * z_size)
-            done = ~converged & (residual <= tol)
-            f /= denom
+            tol = _REFINE_TOL * p * (l_a21_size + l_scale * z_size)
+            done = residual <= tol
+            f /= l_denom
             z -= f
-            kept[done] = z[done]
-            converged |= done
-            if converged.all():
-                break
+            if done.any():
+                kept[rows[done]] = z[done]
+                converged[rows[done]] = True
+                going = ~done
+                if not going.any():
+                    break
+                rows, z = rows[going], z[going]
+                live = tuple(x[going] for x in live)
         b1 = a11 + a12 @ kept
         b2 = a22 - kept @ a12
         # Gershgorin intervals: the eigenvalues are real
@@ -294,6 +307,8 @@ class ChiSquareMixture:
         in log space: with h in the hundreds, (beta/lambda)^(h/2) underflows
         and the Gamma ratio overflows, though their product is a probability.
         """
+        from scipy.special import gammaln
+
         lam, mult = np.unique(self.weights, return_counts=True)
         beta = float(lam[0])
         size = 64
@@ -333,6 +348,8 @@ class ChiSquareMixture:
         clipped to [0, 1].  Equal weights leave the single term P(d/2, y), the
         chi-square CDF.
         """
+        from scipy.special import gammainc, gammaln
+
         beta, c = self._series()
         x = np.asarray(x, dtype=np.float64)
         # the largest double stands in for x = inf, which would give inf - inf

@@ -2,9 +2,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+import scipy.special
 
-from covbvm.cli import _write_json, config_hash, main, run
+from covbvm.cli import _normal_cdf, _write_json, config_hash, main, run
 from covbvm.errors import ConfigError, LowDraws, PreconditionWarning
 
 
@@ -498,6 +500,17 @@ class TestExperimentCommands:
         run(cfg)
         header = (out / "statistic.csv").read_text().splitlines()[0]
         assert config_hash(cfg) in header
+
+
+def test_normal_cdf_matches_ndtr():
+    # a grid through both tails, where one side rounds to 0 or 1, and
+    # irregular points between
+    x = np.concatenate([
+        np.linspace(-40.0, 40.0, 8001),
+        np.random.default_rng(3).standard_normal(20_000) * 4.0,
+        [-np.inf, np.inf],
+    ])
+    assert np.max(np.abs(_normal_cdf(x) - scipy.special.ndtr(x))) <= 2.3e-16
 
 
 class TestConfigHash:

@@ -1,6 +1,8 @@
-"""Static checks on the package and test sources."""
+"""Static checks on the package and test sources, and what a fresh
+interpreter loads when it imports and runs the package."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -228,16 +230,144 @@ def test_warnings_use_package_categories(path):
     assert foreign_warnings(path.read_text(), allowed) == []
 
 
-def test_import_leaves_out_heavy_scipy_modules():
-    # scipy.stats alone takes most of a second to import; the package needs
-    # none of it, nor scipy.integrate
-    code = (
-        "import sys, covbvm, covbvm.cli\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+def module_level_imports(source: str, package: str) -> list[str]:
+    """``line: module`` for each import of ``package`` or its submodules that
+    runs when the module is imported: anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            found.extend(f"{child.lineno}: {name}" for name in names
+                         if name.split(".")[0] == package)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_checker_finds_eager_imports():
+    source = (
+        "import numpy as np, scipy.linalg\n"
+        "from scipy.special import ndtr\n"
+        "from .scipy import helper\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy import special\n"
+        "class C:\n"
+        "    import scipy\n"
+        "    def g(self):\n"
+        "        import scipy.linalg\n"
+        "try:\n"
+        "    import scipy.stats\n"
+        "except ImportError:\n"
+        "    pass\n"
     )
+    assert module_level_imports(source, "scipy") == [
+        "1: scipy.linalg", "2: scipy.special", "8: scipy", "12: scipy.stats"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src/covbvm").glob("*.py")), ids=lambda p: p.name
+)
+def test_package_imports_scipy_only_where_used(path):
+    # importing scipy.special or scipy.linalg takes longer than numpy; the
+    # functions that need them import them, so other commands never pay
+    assert module_level_imports(path.read_text(), "scipy") == []
+
+
+# one small config per CLI command that needs no scipy function
+NUMPY_ONLY_COMMANDS = [
+    {"command": "bvm-functional", "data": {"n": 400, "seed": 3},
+     "prior": {"kind": "inverse_wishart"}, "functional": {"kind": "trace"},
+     "monte_carlo": {"posterior_draws": 1000}},
+    {"command": "bridge", "data": {"n": 400}, "delta_grid": [0.2, 0.3, 0.5, 0.7],
+     "monte_carlo": {"posterior_draws": 1000, "replications": 2}},
+    {"command": "contraction", "data": {"n": 500}, "prior": {"kind": "inverse_wishart"},
+     "delta_grid": [0.1, 0.2, 0.5], "monte_carlo": {"posterior_draws": 1000, "replications": 2}},
+    {"command": "coverage", "data": {"n": 300, "seed": 2}, "prior": {"kind": "inverse_wishart"},
+     "functional": {"kind": "trace"},
+     "monte_carlo": {"posterior_draws": 100, "replications": 100}},
+    {"command": "coverage", "data": {"n": 300, "seed": 2}, "prior": {"kind": "inverse_wishart"},
+     "selection": {"s_minus": 1, "s_plus": 1},
+     "monte_carlo": {"posterior_draws": 100, "replications": 100}},
+    {"command": "budget",
+     "budget": {"context": "posterior_independence", "rho": 0.1, "rho_w": 0.2, "n": 50}},
+]
+
+# the densities and the reference CDF, the package's callers of scipy
+DENSITIES = """
+import numpy as np
+from covbvm import (ChiSquareMixture, DatasetSpec, InverseWishartPrior, SpdMatrix,
+                    log_likelihood, model_from_spectrum, sample_dataset)
+model = model_from_spectrum([2.0, 1.0], [1, 2], rotation_seed=0)
+data = sample_dataset(DatasetSpec(model, "gaussian", 200, seed=5))
+sigma = model.sigma_star.entries + 0.1 * np.eye(3)
+values = [
+    log_likelihood(sigma, data),
+    InverseWishartPrior(SpdMatrix(np.eye(3)), 3.0).log_density(sigma),
+    *ChiSquareMixture(np.array([4.0, 8.0 / 9.0, 8.0 / 9.0])).cdf(np.linspace(0.0, 20.0, 9)),
+]
+"""
+
+FRESH_INTERPRETER = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import covbvm, covbvm.cli
+loaded = {"import": scipy_modules()}
+for i, cfg in enumerate(json.loads(sys.argv[1])):
+    cfg = {"schema_version": 1, "seed": 17,
+           "model": {"mu": [2.0, 1.0], "mult": [1, 2], "rotation_seed": 0}, **cfg}
+    covbvm.cli.run(cfg, out_override=f"out{i}")
+loaded["commands"] = scipy_modules()
+exec(sys.argv[2])
+loaded["densities"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "values": [float(v).hex() for v in values]}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    """What a fresh interpreter loads of scipy when it imports the package,
+    runs the numpy-only commands and then evaluates the densities; and the
+    densities' values.  One process serves every test that reads it."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", FRESH_INTERPRETER, json.dumps(NUMPY_ONLY_COMMANDS), DENSITIES],
+        capture_output=True, text=True, cwd=tmp_path_factory.mktemp("fresh"),
+        env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_leaves_out_heavy_scipy_modules(fresh_interpreter):
+    assert fresh_interpreter["loaded"]["import"] == []
+
+
+def test_numpy_only_commands_load_no_scipy(fresh_interpreter):
+    assert fresh_interpreter["loaded"]["commands"] == []
+
+
+def test_scipy_loaded_on_first_use_gives_the_same_values(fresh_interpreter):
+    # the first density evaluation loads scipy in the fresh interpreter; here
+    # scipy is imported before the package's functions run
+    import scipy.linalg
+    import scipy.special
+
+    loaded = fresh_interpreter["loaded"]["densities"]
+    assert {scipy.linalg.__name__, scipy.special.__name__} <= set(loaded)
+    scope = {}
+    exec(DENSITIES, scope)
+    assert fresh_interpreter["values"] == [float(v).hex() for v in scope["values"]]

@@ -322,6 +322,21 @@ class TestDrawStream:
         # after materializing, blocks are slices of the stack
         assert np.concatenate(list(draws.blocks())).tobytes() == whole
 
+    def test_matrices_holds_one_block_while_drawing(self):
+        # the stack, the block being copied and the sampler's working set;
+        # holding the previous block while the next was drawn read 5.66 blocks
+        model = model_from_spectrum([2.0, 1.0], [10, 20], rotation_seed=6)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=7))
+        sampler = default_sampler(default_inverse_wishart_prior(30), data, seed=8)
+        draws = sample_posterior(sampler, 3 * _CHUNK)
+        tracemalloc.start()
+        try:
+            draws.matrices
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.7 * _CHUNK * 30 * 30 * 8
+
     def test_factor_blocks_match_blocks(self):
         # the streamed X of each block, squared and symmetrized as the sampler
         # does, gives its Sigma block bit for bit, on every pass
