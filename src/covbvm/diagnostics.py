@@ -87,24 +87,46 @@ def default_statistic_battery() -> dict:
     }
 
 
+def statistic_columns(draws, statistics: dict) -> np.ndarray:
+    """The (M, S) array of each statistic at each of M draws, one column per
+    statistic.
+
+    ``draws`` is a ``PosteriorDraws``, reduced through ``PosteriorDraws.map``
+    so that streamed draws never form their (M, p, p) stack, or a stack of
+    matrices.  Each statistic maps a stack of matrices to one value per
+    matrix.
+    """
+
+    def columns(mats):
+        return np.stack([np.asarray(fn(mats), dtype=np.float64) for fn in statistics.values()],
+                        axis=-1)
+
+    if isinstance(draws, PosteriorDraws):
+        return np.concatenate(draws.map(columns))
+    return columns(np.asarray(draws))
+
+
+def max_kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max Kolmogorov distance between the laws of matching columns of two
+    (M, S) arrays of statistics (``statistic_columns``)."""
+    return max(kolmogorov_distance(EmpiricalLaw(a[:, j]), EmpiricalLaw(b[:, j]))
+               for j in range(a.shape[1]))
+
+
 def tv_distance_over_statistics(a, b, statistics: dict | None = None) -> float:
     """Max Kolmogorov distance over a dict of scalar statistics of two draw sets.
 
     This is a lower bound on the total variation distance between the
-    matrix-variate laws; full TV is not estimable from samples.
+    matrix-variate laws; full TV is not estimable from samples.  Each draw
+    set is reduced to its ``statistic_columns``.
     """
     if statistics is None:
         statistics = default_statistic_battery()
     if not statistics:
         raise ValueError("need at least one statistic")
-    mats_a = a.matrices if isinstance(a, PosteriorDraws) else np.asarray(a)
-    mats_b = b.matrices if isinstance(b, PosteriorDraws) else np.asarray(b)
-    best = 0.0
-    for fn in statistics.values():
-        law_a = EmpiricalLaw(np.asarray(fn(mats_a), dtype=np.float64))
-        law_b = EmpiricalLaw(np.asarray(fn(mats_b), dtype=np.float64))
-        best = max(best, kolmogorov_distance(law_a, law_b))
-    return best
+    return max_kolmogorov_distance(
+        statistic_columns(a, statistics), statistic_columns(b, statistics)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ exactly lower triangular.  That algebra runs on cache-sized sub-blocks
 (``sub_block_size``) of each block of draws, so the sampler holds its output,
 one block's normals and three sub-block buffers, not several block-sized
 arrays.  With ``factor=True`` the sampler returns the triangular X itself and
-skips X^T X, for statistics that reduce the factor (the functionals).
+skips X^T X, for statistics that reduce the factor (the functionals).  With
+``reduce=fn`` it returns fn of each sub-block instead, computed while the
+sub-block is in cache, and allocates no output at all.
 
 A uniform prior on a vicinity (``RejectionInVicinity``) is sampled by exact
 rejection: draws from the flat-likelihood inverse Wishart IW(nS, n - p - 1),
@@ -37,12 +39,15 @@ through ``PosteriorDraws.blocks(factor)``: the Sigma draws, or with
 streamed: each pass draws them afresh from the sampler's seed, one
 ``sample_inverse_wishart`` call per block on one shared generator, so a
 statistic that reduces each block to scalars never holds the (M, p, p) stack.
-``PosteriorDraws.map(fn, factor)`` is that reduction, and it holds one block
-at a time.  ``PosteriorDraws.matrices`` builds the stack from the same
-blocks, byte-identical, for the consumers that need every draw at once.  The
-Metropolis and rejection samplers run when ``sample_posterior`` is called,
-their blocks are slices of the stored draws, and their factors come from a
-Cholesky factorization of each block.
+``PosteriorDraws.map(fn, factor)`` is that reduction: on streamed draws it
+passes fn to the sampler as ``reduce``, so fn sees cache-sized sub-blocks and
+no block of draws is formed.  The functionals, the TV battery, the
+contraction search and the localized mass reduce through it; the projector
+statistic loops over ``blocks()``.  ``PosteriorDraws.matrices`` builds the
+stack from the same blocks, byte-identical, for the consumers that need every
+draw at once.  The Metropolis and rejection samplers run when
+``sample_posterior`` is called, their blocks are slices of the stored draws,
+and their factors come from a Cholesky factorization of each block.
 """
 
 from __future__ import annotations
@@ -232,7 +237,8 @@ def sample_inverse_wishart(
     seed: int | np.random.Generator,
     *,
     factor: bool = False,
-) -> np.ndarray:
+    reduce: Callable[[np.ndarray], object] | None = None,
+) -> np.ndarray | list:
     """i.i.d. draws from the inverse Wishart with the given scale and dof.
 
     The precision W ~ Wishart(scale^-1, dof) is T T^T with T = L B, where L is
@@ -257,6 +263,15 @@ def sample_inverse_wishart(
     forming X^T X or its symmetric copy.  X is exactly lower triangular in
     both forms.
 
+    With ``reduce=fn`` the call allocates no output: it returns the list of
+    fn of each sub-block's draws (Sigma, or X with ``factor=True``), called
+    as soon as the sub-block is computed, while it is still in cache.  The
+    draws, and so fn's values, are bit for bit those of the call without
+    ``reduce``.  fn's argument is a buffer that the next sub-block
+    overwrites: an array result that shares its memory is copied, and fn
+    must keep no other reference to it.  Such a call holds one block's
+    normals and the sub-block buffers, at p = 50 about 40 MB and 3 MB.
+
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
     each on one generator continue the stream of one call for their total
@@ -273,11 +288,16 @@ def sample_inverse_wishart(
     lower, diag = il * p + jl, np.arange(p) * (p + 1)
     sub = min(sub_block_size(p), count, _CHUNK)
     bart = np.zeros((sub, p, p))  # its upper triangle stays zero
+    if not factor or reduce is not None:
+        x = np.empty_like(bart)
     if not factor:
-        x, xtx = np.empty_like(bart), np.empty_like(bart)
+        xtx = np.empty_like(bart)
     bart_flat = bart.reshape(sub, p * p)
     normals = np.empty((min(count, _CHUNK), len(lower)))
-    out = np.empty((count, p, p))
+    if reduce is None:
+        out = np.empty((count, p, p))
+    else:
+        results = []
     rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
     for start in range(0, count, _CHUNK):
         k = min(_CHUNK, count - start)
@@ -287,7 +307,9 @@ def sample_inverse_wishart(
             m = min(sub, k - s)
             bart_flat[:m, lower] = z[s : s + m]
             bart_flat[:m, diag] = chi[s : s + m]
-            block = out[start + s : start + s + m]
+            # the sub-block's draws go to the output or, with reduce, to x:
+            # Sigma overwrites X there once X^T X is formed
+            block = out[start + s : start + s + m] if reduce is None else x[:m]
             # T = L B, then X = T^-1
             t = np.matmul(chol, bart[:m], out=block if factor else x[:m])
             _tril_inv_inplace(t)
@@ -295,7 +317,12 @@ def sample_inverse_wishart(
                 w = np.matmul(t.swapaxes(1, 2), t, out=xtx[:m])
                 np.add(w, w.swapaxes(1, 2), out=block)
                 block *= 0.5
-    return out
+            if reduce is not None:
+                value = reduce(block)
+                if isinstance(value, np.ndarray) and np.may_share_memory(value, x):
+                    value = value.copy()
+                results.append(value)
+    return out if reduce is None else results
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +370,17 @@ class PosteriorSampler:
 class PosteriorDraws:
     """Posterior draws, consumed in blocks of at most ``_CHUNK`` matrices.
 
-    ``stream(factor)`` yields the blocks afresh, the same on every call: the
-    Sigma draws, or with ``factor=True`` their triangular factors X with
-    Sigma = X^T X.  ``matrices`` builds the (M, p, p) stack from them once;
-    after that, and for draws made ``stored``, Sigma blocks are slices of the
-    stack.
+    ``stream(factor, reduce)`` draws the blocks afresh, the same on every
+    call: the Sigma draws, or with ``factor=True`` their triangular factors X
+    with Sigma = X^T X.  It yields each block or, given ``reduce``, the list
+    of ``reduce`` of each of the block's sub-blocks.  ``matrices`` builds the
+    (M, p, p) stack from the blocks once; after that, and for draws made
+    ``stored``, Sigma blocks are slices of the stack.
     """
 
     def __init__(
         self,
-        stream: Callable[..., Iterator[np.ndarray]] | None,
+        stream: Callable[..., Iterator] | None,
         count: int,
         warnings: tuple[str, ...] = (),
     ):
@@ -371,6 +399,9 @@ class PosteriorDraws:
     def __len__(self) -> int:
         return self._count
 
+    def _streamed(self, factor: bool) -> bool:
+        return self._stream is not None and (factor or self._stack is None)
+
     def blocks(self, factor: bool = False) -> Iterator[np.ndarray]:
         """Blocks of the Sigma draws or, with ``factor=True``, of factors X with
         Sigma = X^T X, one per draw.
@@ -379,19 +410,24 @@ class PosteriorDraws:
         seed; stored draws yield the transposed Cholesky factor of each
         matrix, upper triangular, and raise NotPositiveDefinite if one fails.
         """
-        if self._stream is not None and (factor or self._stack is None):
-            return self._stream(factor=factor)
+        if self._streamed(factor):
+            return self._stream(factor)
         sigmas = (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
         return map(upper_factors, sigmas) if factor else sigmas
 
     def map(self, fn: Callable[[np.ndarray], object], factor: bool = False) -> list:
-        """fn of each block of ``blocks(factor)``, in order.
+        """fn of each part of ``blocks(factor)``, in order.
 
-        A loop or comprehension keeps its last block referenced while the
-        sampler draws the next, so it holds two blocks at once; ``map``
-        releases each block once fn has returned, so one block is alive at a
-        time.
+        Streamed draws are reduced inside the sampler (``sample_inverse_wishart``
+        with ``reduce=fn``): fn sees sub-blocks of at most ``sub_block_size(p)``
+        draws, in a buffer that the next sub-block overwrites, and no block of
+        draws is formed.  Stored draws, and the Sigma draws once ``matrices``
+        is built, give fn the blocks of ``blocks(factor)``.  So fn must be a
+        per-draw reduction: its values over the parts, concatenated, are the
+        same for either split.
         """
+        if self._streamed(factor):
+            return [value for part in self._stream(factor, fn) for value in part]
         return list(map(fn, self.blocks(factor)))
 
     @property
@@ -421,11 +457,11 @@ def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
 
-    def stream(factor):
+    def stream(factor, reduce=None):
         rng = derived_rng(sampler.seed)
         for start in range(0, count, _CHUNK):
             k = min(_CHUNK, count - start)
-            yield sample_inverse_wishart(scale, dof, k, rng, factor=factor)
+            yield sample_inverse_wishart(scale, dof, k, rng, factor=factor, reduce=reduce)
 
     return PosteriorDraws(stream, count)
 

@@ -17,14 +17,21 @@ from covbvm import (
     budget_posterior_independence,
     budget_projector,
     default_inverse_wishart_prior,
+    default_sampler,
     estimate_contraction_radius,
     estimate_flatness,
     flatness_profile,
     kolmogorov_distance,
+    localize_draws,
     model_from_spectrum,
+    sample_dataset,
+    sample_posterior,
     trace_functional,
     tv_distance_over_statistics,
 )
+from covbvm.cli import run
+from covbvm.diagnostics import default_statistic_battery, statistic_columns
+from covbvm.posterior import _CHUNK
 from covbvm.spectral import EigenspaceSelection
 from covbvm.errors import DegenerateNormalizer, UndefinedFlatness
 
@@ -118,6 +125,42 @@ class TestTvDistanceOverStatistics:
         a = self.make_stack(4)
         with pytest.raises(ValueError):
             tv_distance_over_statistics(a, a, {})
+
+    def test_streamed_draws_match_their_stack(self):
+        # streamed draws are reduced in the sampler's sub-blocks (p = 10: 1310
+        # draws each); every battery statistic is per matrix, so the columns
+        # are bit for bit those of the stack
+        model = model_from_spectrum([2.0, 1.0], [3, 7], rotation_seed=1)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 400, seed=2))
+        prior = default_inverse_wishart_prior(10)
+        a, b = (sample_posterior(default_sampler(prior, data, seed=s), _CHUNK + 17)
+                for s in (3, 4))
+        battery = default_statistic_battery()
+        columns = statistic_columns(a, battery)
+        streamed = tv_distance_over_statistics(a, b)
+        assert columns.tobytes() == statistic_columns(a.matrices, battery).tobytes()
+        assert streamed == tv_distance_over_statistics(a.matrices, b.matrices) > 0
+
+    def test_bridge_localized_law_is_the_masked_columns(self, tmp_path):
+        # bridge reduces the conjugate draws once, to their battery columns and
+        # vicinity mask; its localized law is the localized draws' battery
+        n, draws, delta_bar, seed = 2000, _CHUNK + 17, 0.12, 5
+        cfg = {
+            "schema_version": 1, "command": "bridge", "seed": seed,
+            "model": {"mu": [2.0, 1.0], "mult": [2, 4], "rotation_seed": 0},
+            "data": {"n": n}, "delta_bar": delta_bar,
+            "monte_carlo": {"posterior_draws": draws, "replications": 1},
+        }
+        run(cfg, out_override=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        model = model_from_spectrum([2.0, 1.0], [2, 4], rotation_seed=0)
+        dataset = sample_dataset(DatasetSpec(model, "gaussian", n, seed=seed))
+        conj = sample_posterior(
+            default_sampler(default_inverse_wishart_prior(6), dataset, seed=seed), draws
+        )
+        localized = localize_draws(conj, model.sigma_star, delta_bar)
+        assert 100 <= len(localized) < draws
+        assert report["localized_vs_full"] == tv_distance_over_statistics(localized, conj)
 
 
 class TestContraction:

@@ -37,6 +37,7 @@ from covbvm.posterior import (
     _log_target,
     _tril_inv_inplace,
     conjugate_posterior_params,
+    sub_block_size,
     vicinity_mask,
 )
 from covbvm.spd import spectral_norm, sym
@@ -144,6 +145,13 @@ class TestInverseWishart:
     def test_bad_dof(self):
         with pytest.raises(BadDegreesOfFreedom):
             sample_inverse_wishart(SpdMatrix(np.eye(3)), 2.0, 10, seed=0)
+
+    def test_reduce_checks_arguments_at_call(self):
+        # a reducing call returns a list, so no error waits for a first draw
+        with pytest.raises(BadDegreesOfFreedom):
+            sample_inverse_wishart(SpdMatrix(np.eye(3)), 2.0, 10, seed=0, reduce=len)
+        with pytest.raises(ValueError):
+            sample_inverse_wishart(SpdMatrix(np.eye(3)), 5.0, 0, seed=0, reduce=len)
 
     def test_all_draws_spd(self):
         draws = sample_inverse_wishart(SpdMatrix(np.eye(4)), 8.0, 2000, seed=5)
@@ -321,6 +329,25 @@ class TestDrawStream:
         assert draws.matrices.tobytes() == whole
         # after materializing, blocks are slices of the stack
         assert np.concatenate(list(draws.blocks())).tobytes() == whole
+
+    def test_map_matches_blocks(self):
+        # map reduces streamed draws in the sampler's sub-blocks (p = 10: 1310
+        # draws each, ragged at every block's end) without changing a draw;
+        # a result that is a view of the reused buffer is copied
+        count = 2 * _CHUNK + 17
+        model = model_from_spectrum([2.0, 1.0], [3, 7], rotation_seed=3)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
+        draws = sample_posterior(default_sampler(default_inverse_wishart_prior(10), data, seed=5),
+                                 count)
+        for factor in (False, True):
+            whole = np.concatenate(list(draws.blocks(factor))).tobytes()
+            for _ in range(2):
+                parts = draws.map(lambda x: x.copy(), factor)
+                assert max(map(len, parts)) == sub_block_size(10)
+                assert np.concatenate(parts).tobytes() == whole
+                assert np.concatenate(draws.map(lambda x: x, factor)).tobytes() == whole
+            draws.matrices
+            assert np.concatenate(draws.map(lambda x: x.copy(), factor)).tobytes() == whole
 
     def test_matrices_holds_one_block_while_drawing(self):
         # the stack, the block being copied and the sampler's working set;
