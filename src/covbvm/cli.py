@@ -92,7 +92,10 @@ def _require_finite(doc, where: str = "config") -> None:
 
 def _build_model(doc: dict, base_dir: str):
     if "sigma_csv" in doc:
-        sigma = load_matrix_csv(os.path.join(base_dir, doc["sigma_csv"]))
+        try:
+            sigma = load_matrix_csv(os.path.join(base_dir, doc["sigma_csv"]))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
         return spectral_decompose(sigma, mults=doc.get("mult"))
     mu = _require(doc, "mu", "config.model")
     mult = _require(doc, "mult", "config.model")

@@ -169,9 +169,9 @@ def evaluate_batch(functional: FunctionalSpec, factors: np.ndarray) -> np.ndarra
 
 
 def functional_values(functional: FunctionalSpec, draws: PosteriorDraws) -> np.ndarray:
-    """The functional at every posterior draw, reduced block by block on the
-    draws' factors (``PosteriorDraws.blocks(factor=True)``); no Sigma block is
-    formed for streamed draws."""
+    """The functional at every posterior draw, reduced part by part on the
+    draws' factors (``PosteriorDraws.map`` with ``factor=True``); no Sigma is
+    formed for exact conjugate draws."""
     return np.concatenate(draws.map(lambda x: evaluate_batch(functional, x), factor=True))
 
 

@@ -33,21 +33,19 @@ on small matrices.  Both come from ``scipy.linalg``, which is imported at the
 first density evaluation, so importing the package and sampling the exact and
 rejection posteriors load no scipy module.
 
-Posterior draws are consumed in blocks of at most ``_CHUNK`` = 4096 matrices,
-through ``PosteriorDraws.blocks(factor)``: the Sigma draws, or with
-``factor=True`` factors X with Sigma = X^T X.  Exact conjugate draws are
-streamed: each pass draws them afresh from the sampler's seed, one
-``sample_inverse_wishart`` call per block on one shared generator, so a
-statistic that reduces each block to scalars never holds the (M, p, p) stack.
-``PosteriorDraws.map(fn, factor)`` is that reduction: on streamed draws it
-passes fn to the sampler as ``reduce``, so fn sees cache-sized sub-blocks and
-no block of draws is formed.  The functionals, the TV battery, the
-contraction search and the localized mass reduce through it; the projector
-statistic loops over ``blocks()``.  ``PosteriorDraws.matrices`` builds the
-stack from the same blocks, byte-identical, for the consumers that need every
-draw at once.  The Metropolis and rejection samplers run when
-``sample_posterior`` is called, their blocks are slices of the stored draws,
-and their factors come from a Cholesky factorization of each block.
+Posterior draws are read only through ``PosteriorDraws.map(fn, factor)``,
+which returns fn of each part of the Sigma draws or, with ``factor=True``, of
+factors X with Sigma = X^T X.  Exact conjugate draws are streamed: each call
+draws them afresh from the sampler's seed, one ``sample_inverse_wishart`` call
+per block of ``_CHUNK`` = 4096 draws on one shared generator, with fn passed
+as ``reduce``, so fn sees cache-sized sub-blocks and no block of draws is
+formed.  The functionals, the projector statistic, the TV battery, the
+contraction search, the localized mass and ``localize_draws`` all reduce
+through it.  ``PosteriorDraws.matrices`` fills a fresh (M, p, p) stack through
+``map`` on each read, for code outside the package that needs every draw at
+once.  The Metropolis and rejection samplers run when ``sample_posterior`` is
+called; their parts are slices of at most ``_CHUNK`` stored draws, and their
+factors come from a Cholesky factorization of each slice.
 """
 
 from __future__ import annotations
@@ -368,83 +366,62 @@ class PosteriorSampler:
 
 
 class PosteriorDraws:
-    """Posterior draws, consumed in blocks of at most ``_CHUNK`` matrices.
-
-    ``stream(factor, reduce)`` draws the blocks afresh, the same on every
-    call: the Sigma draws, or with ``factor=True`` their triangular factors X
-    with Sigma = X^T X.  It yields each block or, given ``reduce``, the list
-    of ``reduce`` of each of the block's sub-blocks.  ``matrices`` builds the
-    (M, p, p) stack from the blocks once; after that, and for draws made
-    ``stored``, Sigma blocks are slices of the stack.
-    """
+    """Posterior draws, read only by reducing them with ``map``: ``stream(factor,
+    fn)`` yields fn of each part of the Sigma draws or, with ``factor=True``, of
+    their factors X with Sigma = X^T X, in order and the same on every call."""
 
     def __init__(
         self,
-        stream: Callable[..., Iterator] | None,
+        stream: Callable[[bool, Callable[[np.ndarray], object]], Iterator],
         count: int,
         warnings: tuple[str, ...] = (),
     ):
         self._stream = stream
         self._count = count
-        self._stack = None
         self.warnings = warnings
 
     @classmethod
     def stored(cls, matrices: np.ndarray, warnings: tuple[str, ...] = ()) -> PosteriorDraws:
-        """Draws already held as an (M, p, p) stack."""
-        draws = cls(None, len(matrices), warnings)
-        draws._stack = matrices
-        return draws
+        """Draws held as an (M, p, p) stack, in slices of at most ``_CHUNK``
+        (one empty slice if M = 0), factored by ``spd.upper_factors``."""
+
+        def stream(factor, fn):
+            for start in range(0, max(len(matrices), 1), _CHUNK):
+                block = matrices[start : start + _CHUNK]
+                yield fn(upper_factors(block) if factor else block)
+
+        return cls(stream, len(matrices), warnings)
 
     def __len__(self) -> int:
         return self._count
 
-    def _streamed(self, factor: bool) -> bool:
-        return self._stream is not None and (factor or self._stack is None)
-
-    def blocks(self, factor: bool = False) -> Iterator[np.ndarray]:
-        """Blocks of the Sigma draws or, with ``factor=True``, of factors X with
-        Sigma = X^T X, one per draw.
-
-        Streamed draws yield the sampler's lower-triangular X from the same
-        seed; stored draws yield the transposed Cholesky factor of each
-        matrix, upper triangular, and raise NotPositiveDefinite if one fails.
-        """
-        if self._streamed(factor):
-            return self._stream(factor)
-        sigmas = (self._stack[start : start + _CHUNK] for start in range(0, self._count, _CHUNK))
-        return map(upper_factors, sigmas) if factor else sigmas
-
     def map(self, fn: Callable[[np.ndarray], object], factor: bool = False) -> list:
-        """fn of each part of ``blocks(factor)``, in order.
+        """fn of each part of the Sigma draws or, with ``factor=True``, of
+        their factors X with Sigma = X^T X, in order.
 
-        Streamed draws are reduced inside the sampler (``sample_inverse_wishart``
-        with ``reduce=fn``): fn sees sub-blocks of at most ``sub_block_size(p)``
-        draws, in a buffer that the next sub-block overwrites, and no block of
-        draws is formed.  Stored draws, and the Sigma draws once ``matrices``
-        is built, give fn the blocks of ``blocks(factor)``.  So fn must be a
-        per-draw reduction: its values over the parts, concatenated, are the
-        same for either split.
+        Exact conjugate draws are drawn afresh from the seed on each call and
+        reduced inside the sampler (``sample_inverse_wishart(..., reduce=fn)``):
+        fn sees sub-blocks of at most ``sub_block_size(p)`` draws, in a buffer
+        that the next sub-block overwrites.  Stored draws give fn slices of at
+        most ``_CHUNK`` draws.  So fn must reduce each draw on its own.
         """
-        if self._streamed(factor):
-            return [value for part in self._stream(factor, fn) for value in part]
-        return list(map(fn, self.blocks(factor)))
+        return list(self._stream(factor, fn))
 
     @property
     def matrices(self) -> np.ndarray:
-        """The (M, p, p) stack of all draws."""
-        if self._stack is None:
-            stack = None
-            start = 0
-            for block in self.blocks():
-                if stack is None:
-                    stack = np.empty((self._count, *block.shape[1:]))
-                stack[start : start + len(block)] = block
-                start += len(block)
-                # released before the sampler draws the next block
-                del block
-            self._stack = stack
-        return self._stack
+        """A fresh (M, p, p) stack of all draws, filled part by part by ``map``."""
+        stack = None
+        filled = 0
+
+        def put(part):
+            nonlocal stack, filled
+            if stack is None:
+                stack = np.empty((self._count, *part.shape[1:]))
+            stack[filled : filled + len(part)] = part
+            filled += len(part)
+
+        self.map(put)
+        return stack
 
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
@@ -457,11 +434,11 @@ def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
 def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
 
-    def stream(factor, reduce=None):
+    def stream(factor, fn):
         rng = derived_rng(sampler.seed)
         for start in range(0, count, _CHUNK):
             k = min(_CHUNK, count - start)
-            yield sample_inverse_wishart(scale, dof, k, rng, factor=factor, reduce=reduce)
+            yield from sample_inverse_wishart(scale, dof, k, rng, factor=factor, reduce=fn)
 
     return PosteriorDraws(stream, count)
 
@@ -635,5 +612,5 @@ def localize_draws(
     draws: PosteriorDraws, center: SpdMatrix, delta_bar: float
 ) -> PosteriorDraws:
     """Restrict draws to the vicinity (the Monte Carlo localized posterior)."""
-    mask = vicinity_mask(draws.matrices, center, delta_bar)
-    return PosteriorDraws.stored(draws.matrices[mask], draws.warnings)
+    parts = draws.map(lambda part: part[vicinity_mask(part, center, delta_bar)])
+    return PosteriorDraws.stored(np.concatenate(parts), draws.warnings)

@@ -4,8 +4,8 @@ reference law.
 
 The distance needs only each draw's selected eigenspace, and every posterior
 draw lies within O(n^-1/2) of the sample covariance.  So the sample
-covariance is decomposed once per dataset, and each draw's eigenspace is
-refined from it by an invariant-subspace (Riccati) iteration in that
+covariance is decomposed once per stack of draws, and each draw's eigenspace
+is refined from it by an invariant-subspace (Riccati) iteration in that
 eigenbasis, a few small batched products per step.  A draw the iteration
 cannot resolve, because it did not converge or because its selected
 eigenvalues are not provably apart from the rest, goes to ``numpy.linalg.eigh``.
@@ -239,20 +239,17 @@ def posterior_projector_statistic(
     dataset: Dataset,
 ) -> ProjectorStatistic:
     """Law of the projector distances (see projector_distances) over
-    posterior draws, which are reduced block by block.  Draws whose own
-    spectral gap at the selection boundary falls below 1e-6 are kept (the
-    index sets are used verbatim) but counted and reported, and so are the
-    draws whose distance came from ``numpy.linalg.eigh``.
+    posterior draws, reduced part by part through ``PosteriorDraws.map``.
+    Draws whose own spectral gap at the selection boundary falls below 1e-6
+    are kept (the index sets are used verbatim) but counted and reported, and
+    so are the draws whose distance came from ``numpy.linalg.eigh``.
     """
-    # a comprehension, not PosteriorDraws.map, so two Sigma blocks are alive
-    # while the next is drawn: below p = 32 a block lives on the malloc heap,
-    # and glibc returns freed heap to the system only past about two blocks,
-    # so a one-block working set (about 20 MB at p = 20) would stay resident
-    parts = [projector_distances(model, sel, block, dataset) for block in draws.blocks()]
-    values = np.concatenate([block_values for block_values, _, _ in parts])
-    near_degenerate = sum(count for _, count, _ in parts)
-    fallbacks = sum(count for _, _, count in parts)
-    return ProjectorStatistic(EmpiricalLaw(values), near_degenerate, fallbacks)
+    values, near_degenerate, fallbacks = zip(
+        *draws.map(lambda part: projector_distances(model, sel, part, dataset))
+    )
+    return ProjectorStatistic(
+        EmpiricalLaw(np.concatenate(values)), sum(near_degenerate), sum(fallbacks)
+    )
 
 
 # ---------------------------------------------------------------------------

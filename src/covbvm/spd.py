@@ -32,6 +32,10 @@ class SpdMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotPositiveDefinite(f"expected a square matrix, got shape {a.shape}")
+        # eigvalsh reads NaN without raising, and no comparison with NaN holds
+        if not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise NotPositiveDefinite(f"entry ({i}, {j}) is {a[i, j]}, not finite")
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -213,11 +217,27 @@ def save_matrix_csv(path, m: SpdMatrix | np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> SpdMatrix:
-    """Read the matrix CSV format written by :func:`save_matrix_csv`."""
+    """Read the matrix CSV format written by :func:`save_matrix_csv`.
+
+    Malformed or non-finite content raises ValueError naming the path and the
+    line; a finite matrix that is not SPD raises NotPositiveDefinite.
+    """
     with open(path) as fh:
-        p = int(fh.readline().strip())
-        rows = [[float(x) for x in fh.readline().split(",")] for _ in range(p)]
-    a = np.array(rows)
-    if a.shape != (p, p):
-        raise NotPositiveDefinite(f"matrix CSV {path!r} declares p={p}, got {a.shape}")
-    return SpdMatrix(a)
+        lines = fh.read().splitlines()
+    size = lines[0].strip() if lines else ""
+    p = int(size) if size.isdecimal() else 0
+    if p < 1:
+        raise ValueError(f"matrix CSV {path}, line 1: expected a positive size p, got {size!r}")
+    lines += [""] * (p + 1 - len(lines))
+    rows = []
+    for number, text in enumerate(lines[1 : p + 1], start=2):
+        try:
+            row = np.array(text.split(","), dtype=np.float64)
+        except ValueError:
+            row = np.empty(0)
+        if row.shape != (p,) or not np.isfinite(row).all():
+            raise ValueError(
+                f"matrix CSV {path}, line {number}: expected {p} finite numbers, got {text!r}"
+            )
+        rows.append(row)
+    return SpdMatrix(np.array(rows))

@@ -233,6 +233,37 @@ class TestValidation:
             assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f": {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "3\n2.0,0.1,0.0\n0.1,1.0\n0.0,0.0,1.0\n",
+            "3\n2.0,0.1,0.0\n0.1,1.0,0.0\n",
+            "x\n2.0\n",
+            "2\n2.0,abc\n0.0,1.0\n",
+            None,
+            "2\n2.0,nan\nnan,1.0\n",
+            "2\ninf,0.0\n0.0,1.0\n",
+        ],
+        ids=["ragged-row", "missing-row", "bad-size", "bad-entry", "missing-file",
+             "nan-entry", "inf-entry"],
+    )
+    def test_bad_sigma_csv_exits_2(self, tmp_path, capsys, content):
+        if content is not None:
+            (tmp_path / "sigma.csv").write_text(content)
+        cfg = base_config("bvm-functional", model={"sigma_csv": "sigma.csv"})
+        config = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert ": config.model.sigma_csv: " in capsys.readouterr().err
+
+    def test_sigma_csv_off_the_spd_cone_exits_3(self, tmp_path, capsys):
+        (tmp_path / "sigma.csv").write_text("2\n1.0,2.0\n2.0,1.0\n")
+        cfg = base_config("bvm-functional", model={"sigma_csv": "sigma.csv"})
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
+
     def test_report_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):

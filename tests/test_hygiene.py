@@ -186,6 +186,36 @@ def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields([path.read_text() for path in package]) == []
 
 
+def matrices_reads(source: str) -> list[int]:
+    """Line of each read of an attribute named ``matrices``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "matrices"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_stack_checker_finds_matrices_reads():
+    source = (
+        "stack = draws.matrices\n"
+        "n = len(sample_posterior(s, 10).matrices)\n"
+        "matrices = draws.map(len)\n"
+        "draws.matrices = stack\n"
+        "def matrices(self):\n"
+        "    return self.map(len)\n"
+    )
+    assert matrices_reads(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_package_reduces_draws_without_their_stack(path):
+    # every consumer in the package reduces draws through PosteriorDraws.map,
+    # so none holds the (M, p, p) stack that .matrices builds
+    assert matrices_reads(path.read_text()) == []
+
+
 def foreign_warnings(source: str, allowed) -> list[str]:
     """``line: category`` for each ``warnings.warn`` call whose category is
     not a name in ``allowed``; a call without one warns as UserWarning."""

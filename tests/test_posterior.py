@@ -312,7 +312,8 @@ class TestInverseWishartKernel:
 
 class TestDrawStream:
     def test_blocks_continue_one_call(self):
-        # two full blocks and a partial one, drawn by calls that share a generator
+        # two full blocks and a partial one, drawn by calls that share a
+        # generator; at p = 4 a sub-block is a whole block
         count = 2 * _CHUNK + 17
         model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
         data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
@@ -321,14 +322,16 @@ class TestDrawStream:
         whole = sample_inverse_wishart(scale, dof, count, seed=5).tobytes()
         draws = sample_posterior(sampler, count)
         assert len(draws) == count
-        blocks = list(draws.blocks())
-        assert [len(block) for block in blocks] == [_CHUNK, _CHUNK, 17]
-        assert np.concatenate(blocks).tobytes() == whole
+        assert draws.map(len) == [_CHUNK, _CHUNK, 17]
+        assert np.concatenate(draws.map(lambda x: x.copy())).tobytes() == whole
         # a second pass draws the same blocks again
-        assert np.concatenate(list(draws.blocks())).tobytes() == whole
+        assert np.concatenate(draws.map(lambda x: x.copy())).tobytes() == whole
+        first = draws.matrices
+        assert first.tobytes() == whole
+        # each read builds a fresh stack, and map still draws from the seed
+        first[...] = 0.0
         assert draws.matrices.tobytes() == whole
-        # after materializing, blocks are slices of the stack
-        assert np.concatenate(list(draws.blocks())).tobytes() == whole
+        assert np.concatenate(draws.map(lambda x: x.copy())).tobytes() == whole
 
     def test_map_matches_blocks(self):
         # map reduces streamed draws in the sampler's sub-blocks (p = 10: 1310
@@ -337,17 +340,20 @@ class TestDrawStream:
         count = 2 * _CHUNK + 17
         model = model_from_spectrum([2.0, 1.0], [3, 7], rotation_seed=3)
         data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
-        draws = sample_posterior(default_sampler(default_inverse_wishart_prior(10), data, seed=5),
-                                 count)
+        sampler = default_sampler(default_inverse_wishart_prior(10), data, seed=5)
+        scale, dof = conjugate_posterior_params(sampler.prior, data)
+        draws = sample_posterior(sampler, count)
         for factor in (False, True):
-            whole = np.concatenate(list(draws.blocks(factor))).tobytes()
+            whole = sample_inverse_wishart(scale, dof, count, seed=5, factor=factor).tobytes()
             for _ in range(2):
                 parts = draws.map(lambda x: x.copy(), factor)
                 assert max(map(len, parts)) == sub_block_size(10)
                 assert np.concatenate(parts).tobytes() == whole
                 assert np.concatenate(draws.map(lambda x: x, factor)).tobytes() == whole
             draws.matrices
-            assert np.concatenate(draws.map(lambda x: x.copy(), factor)).tobytes() == whole
+            parts = draws.map(lambda x: x.copy(), factor)
+            assert max(map(len, parts)) == sub_block_size(10)
+            assert np.concatenate(parts).tobytes() == whole
 
     def test_matrices_holds_one_block_while_drawing(self):
         # the stack, the block being copied and the sampler's working set;
@@ -372,17 +378,17 @@ class TestDrawStream:
         data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
         sampler = default_sampler(default_inverse_wishart_prior(4), data, seed=5)
         draws = sample_posterior(sampler, count)
-        sigmas = np.concatenate(list(draws.blocks()))
+        sigmas = np.concatenate(draws.map(lambda s: s.copy()))
         for _ in range(2):
-            factors = list(draws.blocks(factor=True))
+            factors = draws.map(lambda x: x.copy(), factor=True)
             assert [len(x) for x in factors] == [_CHUNK, 17]
             x = np.concatenate(factors)
             assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
             squares = x.swapaxes(1, 2) @ x
             assert ((squares + squares.swapaxes(1, 2)) * 0.5).tobytes() == sigmas.tobytes()
-        # materializing the stack leaves the factors streamed from the seed
+        # reading the stack leaves the factors streamed from the seed
         draws.matrices
-        assert np.concatenate(list(draws.blocks(factor=True))).tobytes() == x.tobytes()
+        assert np.concatenate(draws.map(lambda x: x.copy(), factor=True)).tobytes() == x.tobytes()
 
     def test_stored_factor_blocks(self):
         model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
@@ -390,14 +396,15 @@ class TestDrawStream:
         scale, dof = conjugate_posterior_params(default_inverse_wishart_prior(4), data)
         mats = sample_inverse_wishart(scale, dof, _CHUNK + 5, seed=6)
         draws = PosteriorDraws.stored(mats)
-        factors = list(draws.blocks(factor=True))
+        factors = draws.map(lambda x: x, factor=True)
         assert [len(x) for x in factors] == [_CHUNK, 5]
         x = np.concatenate(factors)
         assert np.array_equal(np.tril(x, -1), np.zeros_like(x))
         assert np.allclose(x.swapaxes(1, 2) @ x, mats, rtol=1e-12, atol=0)
+        assert PosteriorDraws.stored(mats[:0]).matrices.shape == (0, 4, 4)
         mats[3] = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefinite):
-            list(PosteriorDraws.stored(mats).blocks(factor=True))
+            PosteriorDraws.stored(mats).map(len, factor=True)
 
 
 class TestSamplePosterior:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ class TestSpdMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             SpdMatrix(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[1.0, np.nan], [np.nan, 1.0]], "entry (0, 1) is nan"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "entry (0, 0) is inf"),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_rejects_non_finite(self, entries, message):
+        with pytest.raises(NotPositiveDefinite, match=re.escape(message)):
+            SpdMatrix(np.array(entries))
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
