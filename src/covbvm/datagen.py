@@ -1,9 +1,13 @@
-"""Sample generation and empirical concentration radii for the sample covariance.
+"""Datasets as their sample covariance, and empirical concentration radii for it.
 
 Three zero-mean families are supported, all with covariance exactly equal to
 the model's ground truth: Gaussian, Rademacher-coordinate sub-Gaussian, and
 the uniform distribution on the sphere of radius sqrt(p) (scaled through the
-covariance square root).
+covariance square root).  A dataset holds only n and the sample covariance S,
+which is all the checks read.  A Gaussian dataset is drawn as S itself: n S is
+Wishart(Sigma*, n), drawn from one Bartlett factor (Smith and Hocking 1972,
+Appl. Statist. 21:341), so no n x p sample is formed.  The other two families
+draw their n samples and reduce them to S.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import NotPositiveDefinite
 from .spd import SpdMatrix, relative_deviation, spectral_norm, sym
 from .spectral import SpectralModel
 
@@ -46,28 +51,23 @@ class DatasetSpec:
 @dataclasses.dataclass(frozen=True)
 class Dataset:
     spec: DatasetSpec | None
-    samples: np.ndarray
+    n: int
     sample_cov: SpdMatrix
 
     @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.sample_cov.dim
 
 
 def dataset_from_samples(samples: np.ndarray, spec: DatasetSpec | None = None) -> Dataset:
-    """Wrap raw zero-mean samples; the covariance is the plain outer-product mean."""
+    """Reduce raw zero-mean samples to their plain outer-product mean."""
     samples = np.asarray(samples, dtype=np.float64)
     cov = SpdMatrix(samples.T @ samples / samples.shape[0])
-    return Dataset(spec, samples, cov)
+    return Dataset(spec, samples.shape[0], cov)
 
 
 def _raw_samples(rng: np.random.Generator, family: str, n: int, p: int) -> np.ndarray:
-    if family == "gaussian":
-        return rng.standard_normal((n, p))
+    """n isotropic samples of a non-Gaussian family."""
     if family == "sub_gaussian_rademacher":
         return rng.integers(0, 2, size=(n, p)) * 2.0 - 1.0
     # bounded_sphere: sqrt(p) * uniform direction, isotropic with identity covariance
@@ -77,15 +77,29 @@ def _raw_samples(rng: np.random.Generator, family: str, n: int, p: int) -> np.nd
 
 
 def sample_dataset(spec: DatasetSpec, seed_branch: int | None = None) -> Dataset:
-    """Draw n i.i.d. vectors with covariance equal to the model's ground truth.
+    """Sample covariance of n i.i.d. vectors with covariance equal to the
+    model's ground truth.
 
     seed_branch derives an independent replication stream from the spec seed.
+    A Gaussian S is (C B)(C B)^T / n, with C the Cholesky factor of Sigma* and
+    B a Bartlett factor: the stream gives B's strict-lower normals (row-major
+    ``np.tril_indices`` order), then its diagonal sqrt(chi2(n - i)).  S is
+    singular for n < p, which raises NotPositiveDefinite.
     """
     p = spec.model.dim
     rng = derived_rng(spec.seed) if seed_branch is None else derived_rng(spec.seed, seed_branch)
-    raw = _raw_samples(rng, spec.family, spec.n, p)
-    x = raw @ spec.model.sigma_star.sqrtm()
-    return dataset_from_samples(x, spec)
+    if spec.family != "gaussian":
+        raw = _raw_samples(rng, spec.family, spec.n, p)
+        return dataset_from_samples(raw @ spec.model.sigma_star.sqrtm(), spec)
+    if spec.n < p:
+        raise NotPositiveDefinite(
+            f"the sample covariance of n = {spec.n} Gaussian samples in dimension {p} is singular"
+        )
+    bart = np.zeros((p, p))
+    bart[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    bart[np.diag_indices(p)] = np.sqrt(rng.chisquare(spec.n - np.arange(p)))
+    root = spec.model.sigma_star.cholesky @ bart
+    return Dataset(spec, spec.n, SpdMatrix(root @ root.T / spec.n))
 
 
 def _quantile_order_stat(values: np.ndarray, level: float) -> float:

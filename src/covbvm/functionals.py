@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .datagen import Dataset, dataset_from_samples
+from .datagen import Dataset
 from .diagnostics import EmpiricalLaw
 from .errors import BadDimension, ConfigError, DegenerateFunctional
 from .posterior import (
@@ -230,7 +230,8 @@ def rank_adjusted_pipeline(
     prior_dim = getattr(low_dim_prior, "dim", r)
     if prior_dim != r:
         raise BadDimension(f"low-dimensional prior has dim {prior_dim}, need {r}")
-    reduced = dataset_from_samples(data.samples @ functional.u)
+    u = functional.u
+    reduced = Dataset(None, data.n, SpdMatrix(u.T @ data.sample_cov.entries @ u))
     sampler = default_sampler(low_dim_prior, reduced, seed=seed)
     xi_draws = sample_posterior(sampler, count)
     # Tr(Psi Xi) is the linear functional whose thin factors are (I_r, psi);

@@ -202,7 +202,8 @@ def projector_distances(
     and V-hat_perp the selected and the remaining eigenvector columns of the
     sample covariance, ||V V^T - V-hat V-hat^T||_F^2 = 2m - 2||V-hat^T V||_F^2
     = 2||V-hat_perp^T V||_F^2, twice the sum of squared sines of the principal
-    angles.  The sample covariance is decomposed once; each matrix's selected
+    angles.  The sample covariance's decomposition is the one its SpdMatrix
+    caches, so it is made once per dataset; each matrix's selected
     eigenspace is found by refining V-hat into the matrix's own invariant
     subspace (``_riccati_distances``), in cache-sized sub-blocks, with no
     per-matrix eigendecomposition and no p x p projector.  A matrix whose
@@ -214,7 +215,7 @@ def projector_distances(
     """
     index_set = sel.index_set(model)
     p, m = model.dim, len(index_set)
-    vecs = _descending_eigen(dataset.sample_cov.entries, np.arange(p))[1]
+    vecs = dataset.sample_cov._eigh[1][:, ::-1]
     hat_perp = np.delete(vecs, index_set, axis=1)
     basis = np.concatenate([vecs[:, index_set], hat_perp], axis=1)
     values = np.empty(len(mats))

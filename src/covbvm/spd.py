@@ -219,8 +219,9 @@ def save_matrix_csv(path, m: SpdMatrix | np.ndarray) -> None:
 def load_matrix_csv(path) -> SpdMatrix:
     """Read the matrix CSV format written by :func:`save_matrix_csv`.
 
-    Malformed or non-finite content raises ValueError naming the path and the
-    line; a finite matrix that is not SPD raises NotPositiveDefinite.
+    Malformed or non-finite content, or a non-blank line past the p rows,
+    raises ValueError naming the path and the line; a finite matrix that is
+    not SPD raises NotPositiveDefinite.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -240,4 +241,8 @@ def load_matrix_csv(path) -> SpdMatrix:
                 f"matrix CSV {path}, line {number}: expected {p} finite numbers, got {text!r}"
             )
         rows.append(row)
+    # a row past the declared size most likely means a wrong size line
+    for number, text in enumerate(lines[p + 1 :], start=p + 2):
+        if text.strip():
+            raise ValueError(f"matrix CSV {path}, line {number}: expected {p} rows, got {text!r}")
     return SpdMatrix(np.array(rows))

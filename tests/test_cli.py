@@ -243,9 +243,10 @@ class TestValidation:
             None,
             "2\n2.0,nan\nnan,1.0\n",
             "2\ninf,0.0\n0.0,1.0\n",
+            "2\n1.0,0.0\n0.0,1.0\n5,5,5\n",
         ],
         ids=["ragged-row", "missing-row", "bad-size", "bad-entry", "missing-file",
-             "nan-entry", "inf-entry"],
+             "nan-entry", "inf-entry", "extra-row"],
     )
     def test_bad_sigma_csv_exits_2(self, tmp_path, capsys, content):
         if content is not None:
@@ -260,6 +261,16 @@ class TestValidation:
     def test_sigma_csv_off_the_spd_cone_exits_3(self, tmp_path, capsys):
         (tmp_path / "sigma.csv").write_text("2\n1.0,2.0\n2.0,1.0\n")
         cfg = base_config("bvm-functional", model={"sigma_csv": "sigma.csv"})
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
+
+    def test_gaussian_n_below_p_exits_3(self, tmp_path, capsys):
+        # two Gaussian samples in dimension 3 have a singular sample covariance
+        cfg = base_config(
+            "bvm-functional", data={"n": 2}, prior={"kind": "inverse_wishart"},
+            functional={"kind": "trace"},
+        )
         config = write_config(tmp_path, cfg)
         assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
@@ -466,17 +477,17 @@ class TestExperimentCommands:
             (
                 {"functional": {"kind": "trace"}},
                 50,
-                0.86,
-                {"max": 0.813861643116951, "mean": 0.6269924731996257,
-                 "median": 0.6239550327500263},
+                0.89,
+                {"max": 0.8533216260822578, "mean": 0.6195328352446751,
+                 "median": 0.6138960169058656},
                 ["only 50 posterior draws per replication; quantiles unreliable"],
             ),
             (
                 {"selection": {"s_minus": 1, "s_plus": 1}},
                 200,
-                0.89,
-                {"max": 46.210470064488355, "mean": 19.668062140616975,
-                 "median": 17.977661512254237},
+                0.91,
+                {"max": 172.6349446465208, "mean": 21.84285172385014,
+                 "median": 19.114561330032835},
                 [],
             ),
         ],

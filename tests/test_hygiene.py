@@ -186,13 +186,13 @@ def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields([path.read_text() for path in package]) == []
 
 
-def matrices_reads(source: str) -> list[int]:
-    """Line of each read of an attribute named ``matrices``."""
+def attribute_reads(source: str, name: str) -> list[int]:
+    """Line of each read of an attribute with the given name."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
-        and node.attr == "matrices"
+        and node.attr == name
         and isinstance(node.ctx, ast.Load)
     ]
 
@@ -206,14 +206,32 @@ def test_stack_checker_finds_matrices_reads():
         "def matrices(self):\n"
         "    return self.map(len)\n"
     )
-    assert matrices_reads(source) == [1, 2]
+    assert attribute_reads(source, "matrices") == [1, 2]
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
 def test_package_reduces_draws_without_their_stack(path):
     # every consumer in the package reduces draws through PosteriorDraws.map,
     # so none holds the (M, p, p) stack that .matrices builds
-    assert matrices_reads(path.read_text()) == []
+    assert attribute_reads(path.read_text(), "matrices") == []
+
+
+def test_samples_checker_finds_samples_reads():
+    source = (
+        "x = data.samples @ u\n"
+        "n = sample_dataset(spec).samples.shape[0]\n"
+        "samples = data.sample_cov\n"
+        "data.samples = x\n"
+        "dataset_from_samples(samples)\n"
+    )
+    assert attribute_reads(source, "samples") == [1, 2]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_package_reads_datasets_through_their_covariance(path):
+    # every reader of a dataset needs only n and the sample covariance, and a
+    # Gaussian dataset draws no samples to read
+    assert attribute_reads(path.read_text(), "samples") == []
 
 
 def foreign_warnings(source: str, allowed) -> list[str]:

@@ -85,10 +85,11 @@ class TestLogLikelihood:
     @pytest.mark.parametrize("p", [3, 20])
     def test_matches_scipy_multivariate_normal(self, p):
         rng = np.random.default_rng(p)
-        ds = dataset_from_samples(rng.standard_normal((5 * p, p)))
+        samples = rng.standard_normal((5 * p, p))
+        ds = dataset_from_samples(samples)
         a = rng.standard_normal((p, p))
         sigma = a @ a.T / p + 0.5 * np.eye(p)
-        expect = np.sum(stats.multivariate_normal.logpdf(ds.samples, cov=sigma))
+        expect = np.sum(stats.multivariate_normal.logpdf(samples, cov=sigma))
         assert log_likelihood(sigma, ds) == pytest.approx(expect, rel=1e-10)
 
 
@@ -392,7 +393,11 @@ class TestDrawStream:
 
     def test_stored_factor_blocks(self):
         model = model_from_spectrum([2.0, 1.0, 0.5], [1, 1, 2], rotation_seed=3)
-        data = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=4))
+        # the sample path of the Gaussian draw, whose data the bounds were set on
+        data = dataset_from_samples(
+            derived_rng(4).standard_normal((500, 4)) @ model.sigma_star.sqrtm(),
+            DatasetSpec(model, "gaussian", 500, seed=4),
+        )
         scale, dof = conjugate_posterior_params(default_inverse_wishart_prior(4), data)
         mats = sample_inverse_wishart(scale, dof, _CHUNK + 5, seed=6)
         draws = PosteriorDraws.stored(mats)

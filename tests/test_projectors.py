@@ -11,6 +11,7 @@ from covbvm import (
     EigenspaceSelection,
     PosteriorDraws,
     build_gamma,
+    dataset_from_samples,
     default_inverse_wishart_prior,
     default_sampler,
     kolmogorov_distance,
@@ -20,6 +21,7 @@ from covbvm import (
     sample_dataset,
     sample_posterior,
 )
+from covbvm.datagen import derived_rng
 from covbvm.projectors import projector_distances
 
 
@@ -150,10 +152,15 @@ class TestProjectorStatistic:
         # mults [1, 2, 3] at n = 300, the smallest n a projector run of the
         # suite uses, where the subspace refinement converges slowest; 5000
         # draws come as streamed blocks of 4096 and 904, as stored slices, and
-        # the truth as a single matrix.  (1, 3) selects every eigenvalue.
+        # the truth as a single matrix.  (1, 3) selects every eigenvalue.  The
+        # data is the sample path of the Gaussian draw, on which the fallback
+        # bound was set.
         model = model_from_spectrum([4.0, 2.0, 1.0], [1, 2, 3], rotation_seed=8)
         sel = EigenspaceSelection(*groups)
-        data = sample_dataset(DatasetSpec(model, "gaussian", 300, seed=9))
+        data = dataset_from_samples(
+            derived_rng(9).standard_normal((300, 6)) @ model.sigma_star.sqrtm(),
+            DatasetSpec(model, "gaussian", 300, seed=9),
+        )
         draws = sample_posterior(
             default_sampler(default_inverse_wishart_prior(6), data, 10), 5000
         )

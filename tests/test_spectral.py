@@ -74,6 +74,14 @@ class TestSpdMatrix:
         save_matrix_csv(path, m)
         back = load_matrix_csv(path)
         assert np.array_equal(back.entries, m.entries)
+        # blank lines may follow the rows; a further row may not
+        with open(path, "a") as fh:
+            fh.write("\n  \n")
+        assert np.array_equal(load_matrix_csv(path).entries, m.entries)
+        with open(path, "a") as fh:
+            fh.write("5,5,5,5\n")
+        with pytest.raises(ValueError, match=r"line 8: expected 4 rows, got '5,5,5,5'"):
+            load_matrix_csv(path)
 
     def test_relative_deviation(self):
         center = SpdMatrix(np.diag([4.0, 1.0]))
