@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -74,6 +75,29 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _number(value, where: str, integer: bool = False):
+    """A config value as a float, or as an int with ``integer=True``.
+
+    Raises ConfigError naming the field's path for anything that is not a JSON
+    number (a string, a list, a boolean), and for a fractional value where an
+    integer is needed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number_list(values, where: str, integer: bool = False) -> list:
+    """A config list of numbers, each converted by ``_number``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: must be a list of numbers, got {values!r}")
+    return [_number(x, f"{where}[{i}]", integer) for i, x in enumerate(values)]
+
+
 def _require_finite(doc, where: str = "config") -> None:
     """Raise ConfigError at the first non-finite number in a parsed config.
 
@@ -97,9 +121,12 @@ def _build_model(doc: dict, base_dir: str):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
         return spectral_decompose(sigma, mults=doc.get("mult"))
-    mu = _require(doc, "mu", "config.model")
-    mult = _require(doc, "mult", "config.model")
-    return model_from_spectrum(mu, mult, rotation_seed=doc.get("rotation_seed"))
+    mu = _number_list(_require(doc, "mu", "config.model"), "config.model.mu")
+    mult = _number_list(_require(doc, "mult", "config.model"), "config.model.mult", integer=True)
+    rotation_seed = doc.get("rotation_seed")
+    if rotation_seed is not None:
+        rotation_seed = _number(rotation_seed, "config.model.rotation_seed", integer=True)
+    return model_from_spectrum(mu, mult, rotation_seed=rotation_seed)
 
 
 def _build_prior(doc: dict, model):
@@ -107,11 +134,11 @@ def _build_prior(doc: dict, model):
     p = model.dim
     try:
         if kind == "inverse_wishart":
-            scale_diag = doc.get("scale_diag", 0.01)
-            scale = SpdMatrix(scale_diag * np.eye(p))
-            return InverseWishartPrior(scale, b=doc.get("b", 2.0))
+            scale_diag = _number(doc.get("scale_diag", 0.01), "config.prior.scale_diag")
+            b = _number(doc.get("b", 2.0), "config.prior.b")
+            return InverseWishartPrior(SpdMatrix(scale_diag * np.eye(p)), b=b)
         if kind == "uniform_vicinity":
-            delta = _require(doc, "delta", "config.prior")
+            delta = _number(_require(doc, "delta", "config.prior"), "config.prior.delta")
             return UniformVicinityPrior(model.sigma_star, delta)
     except ValueError as exc:
         raise ConfigError(f"config.prior: {exc}") from exc
@@ -126,8 +153,8 @@ def _build_data_spec(doc: dict, model, seed: int) -> DatasetSpec:
         return DatasetSpec(
             model=model,
             family=doc.get("family", "gaussian"),
-            n=int(_require(doc, "n", "config.data")),
-            seed=int(doc.get("seed", seed)),
+            n=_number(_require(doc, "n", "config.data"), "config.data.n", integer=True),
+            seed=_number(doc.get("seed", seed), "config.data.seed", integer=True),
         )
     except ValueError as exc:
         raise ConfigError(f"config.data: {exc}") from exc
@@ -135,17 +162,21 @@ def _build_data_spec(doc: dict, model, seed: int) -> DatasetSpec:
 
 def _build_selection(cfg: dict) -> EigenspaceSelection:
     doc = _require(cfg, "selection")
-    return EigenspaceSelection(
-        int(_require(doc, "s_minus", "config.selection")),
-        int(_require(doc, "s_plus", "config.selection")),
-    )
+
+    def index(key):
+        return _number(
+            _require(doc, key, "config.selection"), f"config.selection.{key}", integer=True
+        )
+
+    return EigenspaceSelection(index("s_minus"), index("s_plus"))
 
 
 def _monte_carlo(cfg: dict) -> dict:
     mc = cfg.get("monte_carlo", {})
+    defaults = {"posterior_draws": 10_000, "replications": 100}
     return {
-        "posterior_draws": int(mc.get("posterior_draws", 10_000)),
-        "replications": int(mc.get("replications", 100)),
+        key: _number(mc.get(key, default), f"config.monte_carlo.{key}", integer=True)
+        for key, default in defaults.items()
     }
 
 
@@ -161,7 +192,7 @@ def _law_draws(mc: dict) -> int:
 
 def _delta_grid(cfg: dict) -> list[float]:
     """The increasing grid of contraction radii."""
-    grid = [float(x) for x in _require(cfg, "delta_grid")]
+    grid = _number_list(_require(cfg, "delta_grid"), "config.delta_grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"config.delta_grid: radii must be increasing, got {grid}")
     return grid
@@ -234,7 +265,7 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
     data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
     prior = _build_prior(_require(cfg, "prior"), model)
     sel = _build_selection(cfg)
-    l_star = float(_require(cfg, "l_star_j"))
+    l_star = _number(_require(cfg, "l_star_j"), "config.l_star_j")
     result = projector_bvm_check(model, sel, prior, data_spec, _law_draws(mc), l_star, seed=seed)
     law = result.statistic.law
     csv_path = os.path.join(out_dir, "statistic.csv")
@@ -284,7 +315,7 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
 def _cmd_flatness(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     prior = _build_prior(_require(cfg, "prior"), model)
-    grid = [float(x) for x in _require(cfg, "delta_grid")]
+    grid = _number_list(_require(cfg, "delta_grid"), "config.delta_grid")
     if any(d <= 0 for d in grid):
         raise ConfigError(f"config.delta_grid: flatness radii must be positive, got {grid}")
     rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
@@ -311,8 +342,8 @@ def _cmd_bridge(cfg, model, out_dir, tag, seed):
                 "config.delta_grid: no grid radius holds the mass; widen the grid "
                 "or give delta_bar"
             )
-    elif not 0 < float(delta_bar) < math.inf:
-        raise ConfigError(f"config.delta_bar: must be positive and finite, got {delta_bar}")
+    elif _number(delta_bar, "config.delta_bar") <= 0:
+        raise ConfigError(f"config.delta_bar: must be positive, got {delta_bar}")
     dataset = sample_dataset(data_spec)
     conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), mc["posterior_draws"])
     battery = default_statistic_battery()
@@ -349,7 +380,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
     data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
     prior = _build_prior(_require(cfg, "prior"), model)
-    level = float(cfg.get("nominal_level", 0.95))
+    level = _number(cfg.get("nominal_level", 0.95), "config.nominal_level")
     reps = mc["replications"]
     if reps < 100:
         raise ConfigError("config.monte_carlo.replications: coverage needs at least 100")
@@ -410,14 +441,14 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
     doc = _require(cfg, "budget")
     context = _require(doc, "context", "config.budget")
 
-    def field(key):
-        return _require(doc, key, "config.budget")
+    def field(key, integer=False):
+        return _number(_require(doc, key, "config.budget"), f"config.budget.{key}", integer)
 
-    n = int(field("n"))
+    n = field("n", integer=True)
     if n < 1:
         raise ConfigError(f"config.budget.n: must be positive, got {n}")
     if context == "posterior_independence":
-        rho, rho_w = float(field("rho")), float(field("rho_w"))
+        rho, rho_w = field("rho"), field("rho_w")
         try:
             budget = budget_posterior_independence(rho, rho_w, n)
         except ValueError as exc:
@@ -428,10 +459,10 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
             model,
             functional,
             n,
-            float(field("delta_w")),
-            float(field("delta_hat")),
-            float(field("delta_tilde")),
-            float(doc.get("g_norm_scaled", 0.0)),
+            field("delta_w"),
+            field("delta_hat"),
+            field("delta_tilde"),
+            _number(doc.get("g_norm_scaled", 0.0), "config.budget.g_norm_scaled"),
         )
     elif context == "projector":
         budget = budget_projector(
@@ -439,9 +470,9 @@ def _cmd_budget(cfg, model, out_dir, tag, seed):
             _build_selection(cfg),
             n,
             model.dim,
-            float(field("delta_hat")),
-            float(doc.get("g_norm", 0.0)),
-            float(_require(cfg, "l_star_j")),
+            field("delta_hat"),
+            _number(doc.get("g_norm", 0.0), "config.budget.g_norm"),
+            _number(_require(cfg, "l_star_j"), "config.l_star_j"),
         )
     else:
         raise ConfigError(f"config.budget.context: unknown context {context!r}")
@@ -478,7 +509,7 @@ def run(cfg: dict, config_dir: str = ".", out_override=None, seed_override=None)
         cfg = {**cfg, "seed": int(seed_override)}
     if "seed" not in cfg:
         raise ConfigError("config.seed: a seed is mandatory")
-    seed = int(cfg["seed"])
+    seed = _number(cfg["seed"], "config.seed", integer=True)
     out_dir = out_override or cfg.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     model = _build_model(_require(cfg, "model"), config_dir)

@@ -10,13 +10,15 @@ and sampled exactly: the Wishart precision is T T^T with T = L B lower
 triangular (L the Cholesky factor of the inverse scale, B the Bartlett
 factor), so each draw is X^T X with X = T^-1, found by 2x2 block recursion
 down to T's diagonal without forming or inverting the full precision, so X is
-exactly lower triangular.  That algebra runs on cache-sized sub-blocks
-(``sub_block_size``) of each block of draws, so the sampler holds its output,
-one block's normals and three sub-block buffers, not several block-sized
-arrays.  With ``factor=True`` the sampler returns the triangular X itself and
-skips X^T X, for statistics that reduce the factor (the functionals).  With
+exactly lower triangular.  Each block of draws is drawn and worked on in
+cache-sized sub-blocks (``sub_block_size``): a sub-block takes its normals and
+chi-squares from the stream just before its algebra runs, so the sampler
+holds its output and four sub-block buffers, not a block-sized array.  With
+``factor=True`` the sampler returns the triangular X itself and skips X^T X,
+for statistics that reduce the factor (the functionals).  With
 ``reduce=fn`` it returns fn of each sub-block instead, computed while the
-sub-block is in cache, and allocates no output at all.
+sub-block is in cache, and allocates no output at all: it then holds about
+4 MB at any p and draw count.
 
 A uniform prior on a vicinity (``RejectionInVicinity``) is sampled by exact
 rejection: draws from the flat-likelihood inverse Wishart IW(nS, n - p - 1),
@@ -245,15 +247,15 @@ def sample_inverse_wishart(
     is sqrt(chi2(dof - i)).  So the draw W^-1 = X^T X with X = T^-1, inverted by
     triangular block recursion; W itself is never formed.
 
-    Each block of ``_CHUNK`` draws takes its strict-lower normals (row-major
-    ``np.tril_indices`` order) and then its chi-square diagonal from the
-    stream, which fixes the draws for a seed.  The algebra then runs over
-    sub-blocks of ``sub_block_size(p)`` draws, small enough to stay in
-    cache, in three reused buffers (B, X and A = X^T X), and writes the
-    exactly symmetric 0.5 (A + A^T) straight into the (count, p, p) output.
-    Besides the output, the call holds one block's normals, about half a
-    block, and the three sub-block buffers: one 4096-draw call at p = 50
-    peaks at about 1.57 times its output's bytes.
+    Each block of ``_CHUNK`` draws is split into sub-blocks of
+    ``sub_block_size(p)`` draws, small enough to stay in cache, starting at
+    the block's start.  Each sub-block takes its strict-lower normals
+    (row-major ``np.tril_indices`` order) and then its chi-square diagonal
+    from the stream, which fixes the draws for a seed; at p <= 5 a sub-block
+    is the whole block.  Its algebra then runs in three reused buffers (B, X
+    and A = X^T X) and writes the exactly symmetric 0.5 (A + A^T) straight
+    into the (count, p, p) output.  Besides the output, the call holds only
+    the sub-block buffers and the sub-block's normals, about 4 MB.
 
     With ``factor=True`` the call returns the (count, p, p) stack of the
     lower-triangular X instead, inverted in place in the output: the same
@@ -267,8 +269,8 @@ def sample_inverse_wishart(
     draws, and so fn's values, are bit for bit those of the call without
     ``reduce``.  fn's argument is a buffer that the next sub-block
     overwrites: an array result that shares its memory is copied, and fn
-    must keep no other reference to it.  Such a call holds one block's
-    normals and the sub-block buffers, at p = 50 about 40 MB and 3 MB.
+    must keep no other reference to it.  Such a call holds the sub-block
+    buffers and fn's values: its peak does not grow with p or count.
 
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
@@ -291,23 +293,23 @@ def sample_inverse_wishart(
     if not factor:
         xtx = np.empty_like(bart)
     bart_flat = bart.reshape(sub, p * p)
-    normals = np.empty((min(count, _CHUNK), len(lower)))
+    normals = np.empty((sub, len(lower)))
     if reduce is None:
         out = np.empty((count, p, p))
     else:
         results = []
     rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
-    for start in range(0, count, _CHUNK):
-        k = min(_CHUNK, count - start)
-        z = rng.standard_normal(out=normals[:k])
-        chi = np.sqrt(rng.chisquare(df, size=(k, p)))
-        for s in range(0, k, sub):
-            m = min(sub, k - s)
-            bart_flat[:m, lower] = z[s : s + m]
-            bart_flat[:m, diag] = chi[s : s + m]
+    for block_start in range(0, count, _CHUNK):
+        # sub-blocks restart at each block's start, so that calls of at most
+        # _CHUNK draws on one generator continue one call's stream
+        end = min(block_start + _CHUNK, count)
+        for start in range(block_start, end, sub):
+            m = min(sub, end - start)
+            bart_flat[:m, lower] = rng.standard_normal(out=normals[:m])
+            bart_flat[:m, diag] = np.sqrt(rng.chisquare(df, size=(m, p)))
             # the sub-block's draws go to the output or, with reduce, to x:
             # Sigma overwrites X there once X^T X is formed
-            block = out[start + s : start + s + m] if reduce is None else x[:m]
+            block = out[start : start + m] if reduce is None else x[:m]
             # T = L B, then X = T^-1
             t = np.matmul(chol, bart[:m], out=block if factor else x[:m])
             _tril_inv_inplace(t)

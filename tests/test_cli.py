@@ -275,6 +275,67 @@ class TestValidation:
         assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
 
+    @pytest.mark.parametrize(
+        "command, field, value, path",
+        [
+            ("bridge", "delta_bar", "abc", "config.delta_bar"),
+            ("functional", "monte_carlo", {"posterior_draws": "x"},
+             "config.monte_carlo.posterior_draws"),
+            ("functional", "monte_carlo", {"posterior_draws": [1]},
+             "config.monte_carlo.posterior_draws"),
+            ("functional", "monte_carlo", {"posterior_draws": 2000.5},
+             "config.monte_carlo.posterior_draws"),
+            ("contraction", "monte_carlo", {"replications": "x"},
+             "config.monte_carlo.replications"),
+            ("functional", "data", {"n": "500"}, "config.data.n"),
+            ("functional", "data", {"n": 500, "seed": [1]}, "config.data.seed"),
+            ("functional", "seed", "17", "config.seed"),
+            ("projector", "l_star_j", "one", "config.l_star_j"),
+            ("projector", "selection", {"s_minus": "1", "s_plus": 1}, "config.selection.s_minus"),
+            ("projector", "selection", {"s_minus": 1, "s_plus": True}, "config.selection.s_plus"),
+            ("functional", "prior", {"kind": "inverse_wishart", "scale_diag": "x"},
+             "config.prior.scale_diag"),
+            ("functional", "prior", {"kind": "inverse_wishart", "b": None}, "config.prior.b"),
+            ("functional", "prior", {"kind": "uniform_vicinity", "delta": "0.3"},
+             "config.prior.delta"),
+            ("contraction", "delta_grid", [0.1, "0.2"], "config.delta_grid[1]"),
+            ("contraction", "delta_grid", 0.1, "config.delta_grid"),
+            ("functional", "model", {"mu": ["2", 1.0], "mult": [1, 2]}, "config.model.mu[0]"),
+            ("functional", "model", {"mu": [2.0, 1.0], "mult": [1, 1.5]}, "config.model.mult[1]"),
+            ("functional", "model", {"mu": [2.0, 1.0], "mult": [1, 2], "rotation_seed": "x"},
+             "config.model.rotation_seed"),
+            ("budget", "budget", {"context": "posterior_independence", "rho": "0.1",
+                                  "rho_w": 0.2, "n": 50}, "config.budget.rho"),
+        ],
+        ids=[
+            "delta_bar", "posterior_draws-string", "posterior_draws-list",
+            "posterior_draws-fraction", "replications", "data-n", "data-seed", "seed",
+            "l_star_j", "s_minus", "s_plus", "scale_diag", "b", "delta", "delta_grid-entry",
+            "delta_grid-scalar", "mu", "mult", "rotation_seed", "budget-rho",
+        ],
+    )
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, field, value, path):
+        cfg = {
+            "bridge": base_config("bridge", data={"n": 500}, delta_bar=0.3),
+            "functional": base_config(
+                "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                functional={"kind": "trace"},
+            ),
+            "contraction": base_config(
+                "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                delta_grid=[0.1, 0.2],
+            ),
+            "projector": base_config(
+                "bvm-projector", data={"n": 500}, prior={"kind": "inverse_wishart"},
+                selection={"s_minus": 1, "s_plus": 1}, l_star_j=1.0,
+            ),
+            "budget": base_config("budget"),
+        }[command]
+        cfg[field] = value
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert f": {path}: " in capsys.readouterr().err
+
     def test_report_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):

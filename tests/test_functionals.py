@@ -229,8 +229,8 @@ class TestStandardizedStatistic:
 
     def test_peak_memory_is_below_one_block(self):
         # the sampler reduces each cache-sized sub-block as it is computed, so
-        # the peak is one block's normals (about half a block) and the
-        # sub-block buffers; reducing whole 4096-draw blocks read 1.59 blocks
+        # the peak is the sub-block buffers; reducing whole 4096-draw blocks
+        # read 1.59 blocks, and taking one block's normals first 0.62
         assert self.streamed_peak(3 * _CHUNK) <= 0.7 * _CHUNK * 30 * 30 * 8
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from covbvm import (
     DatasetSpec,
@@ -33,6 +34,7 @@ from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
 from covbvm.diagnostics import default_statistic_battery
 from covbvm.posterior import (
     _CHUNK,
+    _SUB_BYTES,
     _CholeskyMap,
     _log_target,
     _tril_inv_inplace,
@@ -160,25 +162,35 @@ class TestInverseWishart:
         assert np.allclose(draws, np.swapaxes(draws, 1, 2))
 
 
+def bartlett_factors(p: int, dof: float, m: int, rng) -> np.ndarray:
+    """One block of m <= 4096 Bartlett factors B, drawn as the kernel draws them.
+
+    Each sub-block of ``sub_block_size(p)`` draws from the block's start takes
+    the strict lower triangle of its B in ``np.tril_indices`` order, then its
+    chi-square diagonal.
+    """
+    il, jl = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    b = np.zeros((m, p, p))
+    for s in range(0, m, sub_block_size(p)):
+        part = b[s : s + sub_block_size(p)]
+        part[:, il, jl] = rng.standard_normal((len(part), len(il)))
+        part[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(len(part), p)))
+    return b
+
+
 def reference_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: int):
     """Bartlett draws inverted by LAPACK: W = (L B)(L B)^T, then inv(W).
 
-    Consumes the same ``derived_rng(seed)`` stream in blocks of 4096 as
-    ``sample_inverse_wishart``: the strict lower triangle of B in
-    ``np.tril_indices`` order, then its chi-square diagonal.
+    Consumes the same ``derived_rng(seed)`` stream as
+    ``sample_inverse_wishart`` (``bartlett_factors``).
     """
     p = scale.dim
     chol = np.linalg.cholesky(np.linalg.inv(scale.entries))
-    il, jl = np.tril_indices(p, -1)
-    diag = np.arange(p)
     rng = derived_rng(seed)
     blocks = []
     for start in range(0, count, 4096):
-        m = min(4096, count - start)
-        b = np.zeros((m, p, p))
-        b[:, il, jl] = rng.standard_normal((m, len(il)))
-        b[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(m, p)))
-        t = chol @ b
+        t = chol @ bartlett_factors(p, dof, min(4096, count - start), rng)
         blocks.append(np.linalg.inv(t @ t.swapaxes(1, 2)))
     return np.concatenate(blocks)
 
@@ -186,7 +198,7 @@ def reference_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: in
 def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
     """The kernel's Bartlett algebra, one whole 4096-draw block at a time.
 
-    Draws the block's strict-lower normals and chi-square diagonal, then forms
+    Draws the block's Bartlett factors (``bartlett_factors``), then forms
     T = L B, inverts it by the same 2x2 block recursion down to 1x1 leaves,
     and symmetrizes X^T X, each stage on the whole block.  Cache blocking must
     reproduce these draws bit for bit.
@@ -205,15 +217,9 @@ def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
 
     p = scale.dim
     chol = np.linalg.cholesky(sym(scale.inv()))
-    il, jl = np.tril_indices(p, -1)
-    diag = np.arange(p)
     blocks = []
     for start in range(0, count, 4096):
-        m = min(4096, count - start)
-        b = np.zeros((m, p, p))
-        b[:, il, jl] = rng.standard_normal((m, len(il)))
-        b[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(m, p)))
-        x = chol @ b
+        x = chol @ bartlett_factors(p, dof, min(4096, count - start), rng)
         tril_inv(x)
         w = x.swapaxes(1, 2) @ x
         blocks.append((w + w.swapaxes(1, 2)) * 0.5)
@@ -296,8 +302,8 @@ class TestInverseWishartKernel:
             assert got.tobytes() == ref.tobytes()
 
     def test_peak_memory_of_one_block(self):
-        # output, one block's normals (about half of it) and cache-sized buffers;
-        # whole-block algebra held three block-sized arrays (a peak of 3.0x)
+        # output and cache-sized buffers; whole-block algebra held three
+        # block-sized arrays (a peak of 3.0x), and one block's normals 1.57x
         p = 50
         for factor in (False, True):
             tracemalloc.start()
@@ -309,6 +315,80 @@ class TestInverseWishartKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.7 * out.nbytes, factor
+
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (3, "bb2eb4b38d6331764ff2318a0468e4ed3ac701dcbff96ba41c445c6136d2fea2"),
+            (5, "09f707bf07b14d1fd0d7d5f8c8064fc20d3b07bab7fb1618c1a7a573ec3f42c3"),
+        ],
+        ids=["3", "5"],
+    )
+    def test_small_p_stream_is_pinned(self, p, digest):
+        # at p <= 5 a sub-block is the whole 4096-draw block, so these draws
+        # are those of a block that takes all its normals, then all its
+        # chi-squares; the digests were recorded before the stream was taken
+        # per sub-block
+        assert sub_block_size(p) >= _CHUNK
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        draws = sample_inverse_wishart(scale, dof, _CHUNK + 117, seed=17)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [20, 50])
+    def test_log_det_matches_exact_moments(self, p):
+        # under IW(Psi, nu), log det Sigma = log det Psi - sum_i log chi2(nu - i),
+        # i = 0..p-1, independent; E log chi2(k) = digamma(k/2) + log 2, and its
+        # variance and fourth cumulant are polygamma(1 and 3, k/2)
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        half = (dof - np.arange(p)) / 2
+        mean = np.linalg.slogdet(scale.entries)[1] - np.sum(special.digamma(half) + math.log(2))
+        var = np.sum(special.polygamma(1, half))
+        kappa4 = np.sum(special.polygamma(3, half))
+        m = 2 * _CHUNK
+        routes = {
+            "factor": sample_inverse_wishart(
+                scale, dof, m, seed=23, factor=True,
+                reduce=lambda x: 2 * np.log(np.abs(np.diagonal(x, axis1=1, axis2=2))).sum(1),
+            ),
+            "slogdet": sample_inverse_wishart(
+                scale, dof, m, seed=23, reduce=lambda s: np.linalg.slogdet(s)[1]
+            ),
+        }
+        # two-sided, alpha = 1e-4 for each check
+        z = stats.norm.isf(0.5e-4)
+        for route, parts in routes.items():
+            log_det = np.concatenate(parts)
+            assert len(log_det) == m
+            assert abs(log_det.mean() - mean) <= z * math.sqrt(var / m), route
+            # Var(s^2) = kappa4 / m + 2 var^2 / (m - 1)
+            sd = math.sqrt(kappa4 / m + 2 * var**2 / (m - 1))
+            assert abs(log_det.var(ddof=1) - var) <= z * sd, route
+
+    @pytest.mark.parametrize(
+        "p, counts",
+        [(30, (_CHUNK, 3 * _CHUNK)), (50, (_CHUNK, 2 * _CHUNK)), (100, (600, 1200))],
+        ids=["30", "50", "100"],
+    )
+    def test_reducing_peak_does_not_depend_on_p_or_count(self, p, counts):
+        # each sub-block draws its own normals, so a reducing call holds only
+        # sub-block buffers (3.8-4.1 MiB); taking a whole block's normals
+        # first read 18-50 MiB, growing with p and with count up to a block
+        scale = SpdMatrix(np.eye(p))
+        peaks = []
+        for count in counts:
+            tracemalloc.start()
+            try:
+                sample_inverse_wishart(
+                    scale, 2.0 * p + 10.0, count, seed=5,
+                    reduce=lambda s: s.trace(axis1=1, axis2=2),
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 6 * _SUB_BYTES
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 class TestDrawStream:
