@@ -54,7 +54,6 @@ from .functionals import (
     entry_functional,
     evaluate,
     evaluate_batch,
-    functional_from_json,
     linear_functional,
     linearization_residual,
     log_det_functional,

@@ -34,12 +34,17 @@ from .diagnostics import (
     max_kolmogorov_distance,
     statistic_columns,
 )
-from .errors import ConfigError, CovBvmError, LowDraws, PreconditionWarning
+from .errors import BadDimension, ConfigError, CovBvmError, LowDraws, PreconditionWarning
 from .functionals import (
+    FunctionalSpec,
+    eigenvalue_cluster_functional,
+    entry_functional,
     evaluate,
-    functional_from_json,
     functional_values,
+    linear_functional,
+    log_det_functional,
     standardized_statistic,
+    trace_functional,
 )
 from .posterior import (
     InverseWishartPrior,
@@ -69,19 +74,31 @@ _SQRT2 = math.sqrt(2.0)
 # Config parsing
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return cfg[key]
+def _field(doc, key: str, where: str, default=...):
+    """``doc[key]`` of the config section at path ``where``, or ``default``.
 
-
-def _number(value, where: str, integer: bool = False):
-    """A config value as a float, or as an int with ``integer=True``.
-
-    Raises ConfigError naming the field's path for anything that is not a JSON
-    number (a string, a list, a boolean), and for a fractional value where an
-    integer is needed.
+    Raises ConfigError naming ``where`` when the section is not a JSON object,
+    or when it lacks the key and no default is given (``...``).
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {doc!r}")
+    if key in doc:
+        return doc[key]
+    if default is ...:
+        raise ConfigError(f"{where}: missing required field {key!r}")
+    return default
+
+
+def _numeric(value, where: str, integer: bool, ndim: int):
+    """A config value as a float, or an int with ``integer=True``; with
+    ``ndim`` d > 0, as a list of such values nested d deep.  Raises
+    ConfigError naming the value's path for anything else (a string, a
+    boolean, a number where a list is needed, a fraction where an integer is).
+    """
+    if ndim:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: must be a list, got {value!r}")
+        return [_numeric(x, f"{where}[{i}]", integer, ndim - 1) for i, x in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where}: must be a number, got {value!r}")
     if not integer:
@@ -91,11 +108,12 @@ def _number(value, where: str, integer: bool = False):
     return int(value)
 
 
-def _number_list(values, where: str, integer: bool = False) -> list:
-    """A config list of numbers, each converted by ``_number``."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{where}: must be a list of numbers, got {values!r}")
-    return [_number(x, f"{where}[{i}]", integer) for i, x in enumerate(values)]
+def _number(doc, key: str, where: str, default=..., integer=False, ndim=0):
+    """Field ``key`` of section ``where`` through ``_numeric``.  A default,
+    taken by an absent key or by a null where the default is null, is
+    returned as it stands."""
+    value = _field(doc, key, where, default)
+    return value if value is default else _numeric(value, f"{where}.{key}", integer, ndim)
 
 
 def _require_finite(doc, where: str = "config") -> None:
@@ -114,70 +132,92 @@ def _require_finite(doc, where: str = "config") -> None:
             _require_finite(value, f"{where}[{index}]")
 
 
-def _build_model(doc: dict, base_dir: str):
-    if "sigma_csv" in doc:
-        try:
-            sigma = load_matrix_csv(os.path.join(base_dir, doc["sigma_csv"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
-        return spectral_decompose(sigma, mults=doc.get("mult"))
-    mu = _number_list(_require(doc, "mu", "config.model"), "config.model.mu")
-    mult = _number_list(_require(doc, "mult", "config.model"), "config.model.mult", integer=True)
-    rotation_seed = doc.get("rotation_seed")
-    if rotation_seed is not None:
-        rotation_seed = _number(rotation_seed, "config.model.rotation_seed", integer=True)
-    return model_from_spectrum(mu, mult, rotation_seed=rotation_seed)
+def _build_model(doc, base_dir: str):
+    where = "config.model"
+    path = _field(doc, "sigma_csv", where, None)
+    if path is None:
+        return model_from_spectrum(
+            _number(doc, "mu", where, ndim=1),
+            _number(doc, "mult", where, integer=True, ndim=1),
+            rotation_seed=_number(doc, "rotation_seed", where, None, integer=True),
+        )
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}.sigma_csv: must be a path, got {path!r}")
+    mults = _number(doc, "mult", where, None, integer=True, ndim=1)
+    try:
+        sigma = load_matrix_csv(os.path.join(base_dir, path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}.sigma_csv: {exc}") from exc
+    return spectral_decompose(sigma, mults=mults)
 
 
-def _build_prior(doc: dict, model):
-    kind = _require(doc, "kind", "config.prior")
-    p = model.dim
+def _build_prior(doc, model):
+    where = "config.prior"
+    kind = _field(doc, "kind", where)
     try:
         if kind == "inverse_wishart":
-            scale_diag = _number(doc.get("scale_diag", 0.01), "config.prior.scale_diag")
-            b = _number(doc.get("b", 2.0), "config.prior.b")
-            return InverseWishartPrior(SpdMatrix(scale_diag * np.eye(p)), b=b)
+            scale_diag = _number(doc, "scale_diag", where, 0.01)
+            b = _number(doc, "b", where, 2.0)
+            return InverseWishartPrior(SpdMatrix(scale_diag * np.eye(model.dim)), b=b)
         if kind == "uniform_vicinity":
-            delta = _number(_require(doc, "delta", "config.prior"), "config.prior.delta")
-            return UniformVicinityPrior(model.sigma_star, delta)
+            return UniformVicinityPrior(model.sigma_star, _number(doc, "delta", where))
     except ValueError as exc:
-        raise ConfigError(f"config.prior: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
-        f"config.prior: unsupported kind {kind!r} (generic priors need a callable "
+        f"{where}: unsupported kind {kind!r} (generic priors need a callable "
         "density and are not configurable from JSON)"
     )
 
 
-def _build_data_spec(doc: dict, model, seed: int) -> DatasetSpec:
+def _build_functional(doc, model) -> FunctionalSpec:
+    where = "config.functional"
+    kind = _field(doc, "kind", where)
+    try:
+        if kind == "trace":
+            return trace_functional(model)
+        if kind == "log_det":
+            return log_det_functional(model)
+        if kind == "entry":
+            i, j = (_number(doc, key, where, integer=True) for key in ("i", "j"))
+            return entry_functional(model, i, j)
+        if kind == "eigenvalue_cluster":
+            return eigenvalue_cluster_functional(model, _number(doc, "s", where, integer=True))
+        if kind == "linear":
+            phi, p = _number(doc, "phi", where, ndim=2), model.dim
+            if len(phi) != p or any(len(row) != p for row in phi):
+                raise ConfigError(f"{where}.phi: must be a {p} x {p} matrix, got {phi}")
+            return linear_functional(model, np.array(phi))
+    except BadDimension as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    raise ConfigError(f"{where}.kind: unknown functional kind {kind!r}")
+
+
+def _build_data_spec(doc, model, seed: int) -> DatasetSpec:
+    where = "config.data"
     try:
         return DatasetSpec(
             model=model,
-            family=doc.get("family", "gaussian"),
-            n=_number(_require(doc, "n", "config.data"), "config.data.n", integer=True),
-            seed=_number(doc.get("seed", seed), "config.data.seed", integer=True),
+            family=_field(doc, "family", where, "gaussian"),
+            n=_number(doc, "n", where, integer=True),
+            seed=_number(doc, "seed", where, seed, integer=True),
         )
     except ValueError as exc:
-        raise ConfigError(f"config.data: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_selection(cfg: dict) -> EigenspaceSelection:
-    doc = _require(cfg, "selection")
-
-    def index(key):
-        return _number(
-            _require(doc, key, "config.selection"), f"config.selection.{key}", integer=True
-        )
-
-    return EigenspaceSelection(index("s_minus"), index("s_plus"))
+    doc = _field(cfg, "selection", "config")
+    s_minus, s_plus = (
+        _number(doc, key, "config.selection", integer=True) for key in ("s_minus", "s_plus")
+    )
+    return EigenspaceSelection(s_minus, s_plus)
 
 
 def _monte_carlo(cfg: dict) -> dict:
-    mc = cfg.get("monte_carlo", {})
+    mc = _field(cfg, "monte_carlo", "config", {})
     defaults = {"posterior_draws": 10_000, "replications": 100}
-    return {
-        key: _number(mc.get(key, default), f"config.monte_carlo.{key}", integer=True)
-        for key, default in defaults.items()
-    }
+    return {key: _number(mc, key, "config.monte_carlo", default, integer=True)
+            for key, default in defaults.items()}
 
 
 def _law_draws(mc: dict) -> int:
@@ -192,7 +232,7 @@ def _law_draws(mc: dict) -> int:
 
 def _delta_grid(cfg: dict) -> list[float]:
     """The increasing grid of contraction radii."""
-    grid = _number_list(_require(cfg, "delta_grid"), "config.delta_grid")
+    grid = _number(cfg, "delta_grid", "config", ndim=1)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"config.delta_grid: radii must be increasing, got {grid}")
     return grid
@@ -239,9 +279,9 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
-    prior = _build_prior(_require(cfg, "prior"), model)
-    functional = functional_from_json(model, _require(cfg, "functional"))
+    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
+    prior = _build_prior(_field(cfg, "prior", "config"), model)
+    functional = _build_functional(_field(cfg, "functional", "config"), model)
     dataset = sample_dataset(data_spec)
     draws = sample_posterior(default_sampler(prior, dataset, seed=seed), _law_draws(mc))
     law = standardized_statistic(functional, draws, dataset)
@@ -262,10 +302,10 @@ def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
 
 def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
-    prior = _build_prior(_require(cfg, "prior"), model)
+    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
+    prior = _build_prior(_field(cfg, "prior", "config"), model)
     sel = _build_selection(cfg)
-    l_star = _number(_require(cfg, "l_star_j"), "config.l_star_j")
+    l_star = _number(cfg, "l_star_j", "config")
     result = projector_bvm_check(model, sel, prior, data_spec, _law_draws(mc), l_star, seed=seed)
     law = result.statistic.law
     csv_path = os.path.join(out_dir, "statistic.csv")
@@ -285,8 +325,8 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
 
 def _cmd_contraction(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
-    prior = _build_prior(_require(cfg, "prior"), model)
+    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
+    prior = _build_prior(_field(cfg, "prior", "config"), model)
     grid = _delta_grid(cfg)
     draws = mc["posterior_draws"]
     if draws < MIN_CONTRACTION_DRAWS:
@@ -314,8 +354,8 @@ def _cmd_contraction(cfg, model, out_dir, tag, seed):
 
 def _cmd_flatness(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    prior = _build_prior(_require(cfg, "prior"), model)
-    grid = _number_list(_require(cfg, "delta_grid"), "config.delta_grid")
+    prior = _build_prior(_field(cfg, "prior", "config"), model)
+    grid = _number(cfg, "delta_grid", "config", ndim=1)
     if any(d <= 0 for d in grid):
         raise ConfigError(f"config.delta_grid: flatness radii must be positive, got {grid}")
     rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
@@ -326,12 +366,12 @@ def _cmd_flatness(cfg, model, out_dir, tag, seed):
 
 def _cmd_bridge(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
-    conj_prior = _build_prior(cfg.get("prior", {"kind": "inverse_wishart"}), model)
+    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
+    conj_prior = _build_prior(_field(cfg, "prior", "config", {"kind": "inverse_wishart"}), model)
     if not isinstance(conj_prior, InverseWishartPrior):
         raise ConfigError("config.prior: bridge runs compare against a conjugate prior")
     n = data_spec.n
-    delta_bar = cfg.get("delta_bar")
+    delta_bar = _number(cfg, "delta_bar", "config", None)
     if delta_bar is None:
         delta_bar = estimate_contraction_radius(
             conj_prior, data_spec, _delta_grid(cfg), max(1000, mc["posterior_draws"] // 4),
@@ -342,7 +382,7 @@ def _cmd_bridge(cfg, model, out_dir, tag, seed):
                 "config.delta_grid: no grid radius holds the mass; widen the grid "
                 "or give delta_bar"
             )
-    elif _number(delta_bar, "config.delta_bar") <= 0:
+    elif delta_bar <= 0:
         raise ConfigError(f"config.delta_bar: must be positive, got {delta_bar}")
     dataset = sample_dataset(data_spec)
     conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), mc["posterior_draws"])
@@ -378,9 +418,9 @@ def _posterior_interval(values: np.ndarray, level: float):
 
 def _cmd_coverage(cfg, model, out_dir, tag, seed):
     mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_require(cfg, "data"), model, seed)
-    prior = _build_prior(_require(cfg, "prior"), model)
-    level = _number(cfg.get("nominal_level", 0.95), "config.nominal_level")
+    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
+    prior = _build_prior(_field(cfg, "prior", "config"), model)
+    level = _number(cfg, "nominal_level", "config", 0.95)
     reps = mc["replications"]
     if reps < 100:
         raise ConfigError("config.monte_carlo.replications: coverage needs at least 100")
@@ -389,7 +429,7 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
     functional = None
     sel = None
     if "functional" in cfg:
-        functional = functional_from_json(model, cfg["functional"])
+        functional = _build_functional(cfg["functional"], model)
         truth = evaluate(functional, model.sigma_star)
         if draws_per_rep < 100:
             msg = f"only {draws_per_rep} posterior draws per replication; quantiles unreliable"
@@ -438,41 +478,35 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
 
 
 def _cmd_budget(cfg, model, out_dir, tag, seed):
-    doc = _require(cfg, "budget")
-    context = _require(doc, "context", "config.budget")
-
-    def field(key, integer=False):
-        return _number(_require(doc, key, "config.budget"), f"config.budget.{key}", integer)
-
-    n = field("n", integer=True)
+    doc = _field(cfg, "budget", "config")
+    where = "config.budget"
+    context = _field(doc, "context", where)
+    n = _number(doc, "n", where, integer=True)
     if n < 1:
         raise ConfigError(f"config.budget.n: must be positive, got {n}")
     if context == "posterior_independence":
-        rho, rho_w = field("rho"), field("rho_w")
+        rho, rho_w = _number(doc, "rho", where), _number(doc, "rho_w", where)
         try:
             budget = budget_posterior_independence(rho, rho_w, n)
         except ValueError as exc:
             raise ConfigError(f"config.budget: {exc}") from exc
     elif context == "functional":
-        functional = functional_from_json(model, _require(cfg, "functional"))
+        functional = _build_functional(_field(cfg, "functional", "config"), model)
         budget = budget_functional(
             model,
             functional,
             n,
-            field("delta_w"),
-            field("delta_hat"),
-            field("delta_tilde"),
-            _number(doc.get("g_norm_scaled", 0.0), "config.budget.g_norm_scaled"),
+            *(_number(doc, key, where) for key in ("delta_w", "delta_hat", "delta_tilde")),
+            _number(doc, "g_norm_scaled", where, 0.0),
         )
     elif context == "projector":
         budget = budget_projector(
             model,
             _build_selection(cfg),
             n,
-            model.dim,
-            field("delta_hat"),
-            _number(doc.get("g_norm", 0.0), "config.budget.g_norm"),
-            _number(_require(cfg, "l_star_j"), "config.l_star_j"),
+            _number(doc, "delta_hat", where),
+            _number(doc, "g_norm", where, 0.0),
+            _number(cfg, "l_star_j", "config"),
         )
     else:
         raise ConfigError(f"config.budget.context: unknown context {context!r}")
@@ -496,23 +530,19 @@ _DISPATCH = {
 
 def run(cfg: dict, config_dir: str = ".", out_override=None, seed_override=None) -> dict:
     """Validate and execute one experiment config; returns the report dict."""
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION}, "
-            f"got {cfg.get('schema_version')!r}"
-        )
+    version = _field(cfg, "schema_version", "config", None)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     _require_finite(cfg)
-    command = _require(cfg, "command")
+    command = _field(cfg, "command", "config")
     if command not in COMMANDS:
         raise ConfigError(f"config.command: unknown command {command!r}")
     if seed_override is not None:
         cfg = {**cfg, "seed": int(seed_override)}
-    if "seed" not in cfg:
-        raise ConfigError("config.seed: a seed is mandatory")
-    seed = _number(cfg["seed"], "config.seed", integer=True)
-    out_dir = out_override or cfg.get("output_dir", "out")
+    seed = _number(cfg, "seed", "config", integer=True)
+    out_dir = out_override or _field(cfg, "output_dir", "config", "out")
     os.makedirs(out_dir, exist_ok=True)
-    model = _build_model(_require(cfg, "model"), config_dir)
+    model = _build_model(_field(cfg, "model", "config"), config_dir)
     tag = config_hash(cfg)
     report, outputs = _DISPATCH[command](cfg, model, out_dir, tag, seed)
     _write_json(os.path.join(out_dir, "report.json"), report)

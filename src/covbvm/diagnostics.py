@@ -286,7 +286,6 @@ def budget_projector(
     model: SpectralModel,
     sel: EigenspaceSelection,
     n: int,
-    p: int,
     delta_hat: float,
     g_norm: float,
     l_star_j: float,
@@ -298,6 +297,7 @@ def budget_projector(
     weights = build_gamma(model, sel)
     gap = selection_gap(model, sel)
     m = sel.total_mult(model)
+    p = model.dim
     eigs = model.sigma_star.eigenvalues
     snorm = model.sigma_star.spectral_norm
     tr = float(np.sum(eigs))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .diagnostics import EmpiricalLaw
-from .errors import BadDimension, ConfigError, DegenerateFunctional
+from .errors import BadDimension, DegenerateFunctional
 from .posterior import (
     InverseWishartPrior,
     PosteriorDraws,
@@ -106,34 +106,6 @@ def eigenvalue_cluster_functional(model: SpectralModel, s: int) -> FunctionalSpe
 def log_det_functional(model: SpectralModel) -> FunctionalSpec:
     # approximately linear; no linearization constant is available
     return _build(model, "log_det", model.sigma_star.inv(), None)
-
-
-def functional_from_json(model: SpectralModel, doc: dict) -> FunctionalSpec:
-    """The functional that a config's ``functional`` section describes.
-
-    A missing field, an unknown kind, or an index or matrix that does not fit
-    the model raises ConfigError naming the config path.
-    """
-
-    def field(key):
-        if key not in doc:
-            raise ConfigError(f"config.functional: missing required field {key!r}")
-        return doc[key]
-
-    kind = field("kind")
-    builders = {
-        "trace": lambda: trace_functional(model),
-        "entry": lambda: entry_functional(model, field("i"), field("j")),
-        "eigenvalue_cluster": lambda: eigenvalue_cluster_functional(model, field("s")),
-        "log_det": lambda: log_det_functional(model),
-        "linear": lambda: linear_functional(model, np.asarray(field("phi"))),
-    }
-    if kind not in builders:
-        raise ConfigError(f"config.functional.kind: unknown functional kind {kind!r}")
-    try:
-        return builders[kind]()
-    except BadDimension as exc:
-        raise ConfigError(f"config.functional: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,5 @@ def projector_bvm_check(
     g_norm = (
         prior.scale.spectral_norm if hasattr(prior, "scale") else 0.0
     )
-    budget = budget_projector(
-        model, sel, data_spec.n, model.dim, delta_hat, g_norm, l_star_j
-    )
+    budget = budget_projector(model, sel, data_spec.n, delta_hat, g_norm, l_star_j)
     return ProjectorBvmReport(ks, budget, precondition_ok, delta_hat, stat)

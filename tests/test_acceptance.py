@@ -320,7 +320,7 @@ def test_criterion_10_budget_calculators():
     budget = budget_functional(model, func, 1000, 0.1, 0.05, 0.02, 0.01)
     linear_ok = budget.terms["diamond_nl"] == 0.0
 
-    kwargs = dict(n=2000, p=5, delta_hat=0.1, g_norm=0.2, l_star_j=2.0)
+    kwargs = dict(n=2000, delta_hat=0.1, g_norm=0.2, l_star_j=2.0)
     sel = EigenspaceSelection(1, 2)
     a = budget_projector(model, sel, **kwargs)
     b = budget_projector(model, sel, **kwargs)
@@ -334,7 +334,7 @@ def test_criterion_10_budget_calculators():
     try:
         budget_projector(
             model_from_spectrum([3.0, 1.0], [1, 1]), EigenspaceSelection(1, 1),
-            n=100, p=2, delta_hat=0.1, g_norm=0.1, l_star_j=1.0,
+            n=100, delta_hat=0.1, g_norm=0.1, l_star_j=1.0,
         )
         degenerate_ok = False
     except DegenerateNormalizer:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from covbvm import entry_functional, model_from_spectrum
 from covbvm.cli import _normal_cdf, _write_json, config_hash, main, run
 from covbvm.errors import ConfigError, LowDraws, PreconditionWarning
 
@@ -26,6 +27,30 @@ def base_config(command, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def command_config(command):
+    """A valid config of one command, to be broken one field at a time."""
+    return {
+        "bridge": base_config("bridge", data={"n": 500}, delta_bar=0.3),
+        "functional": base_config(
+            "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
+            functional={"kind": "trace"},
+        ),
+        "contraction": base_config(
+            "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
+            delta_grid=[0.1, 0.2],
+        ),
+        "projector": base_config(
+            "bvm-projector", data={"n": 500}, prior={"kind": "inverse_wishart"},
+            selection={"s_minus": 1, "s_plus": 1}, l_star_j=1.0,
+        ),
+        "coverage": base_config(
+            "coverage", data={"n": 500}, prior={"kind": "inverse_wishart"},
+            functional={"kind": "trace"}, monte_carlo={"replications": 100},
+        ),
+        "budget": base_config("budget"),
+    }[command]
 
 
 class TestValidation:
@@ -315,26 +340,71 @@ class TestValidation:
         ],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, command, field, value, path):
-        cfg = {
-            "bridge": base_config("bridge", data={"n": 500}, delta_bar=0.3),
-            "functional": base_config(
-                "bvm-functional", data={"n": 500}, prior={"kind": "inverse_wishart"},
-                functional={"kind": "trace"},
-            ),
-            "contraction": base_config(
-                "contraction", data={"n": 500}, prior={"kind": "inverse_wishart"},
-                delta_grid=[0.1, 0.2],
-            ),
-            "projector": base_config(
-                "bvm-projector", data={"n": 500}, prior={"kind": "inverse_wishart"},
-                selection={"s_minus": 1, "s_plus": 1}, l_star_j=1.0,
-            ),
-            "budget": base_config("budget"),
-        }[command]
+        cfg = command_config(command)
         cfg[field] = value
         config = write_config(tmp_path, cfg)
         assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
         assert f": {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, field, value, path",
+        [
+            ("functional", "monte_carlo", [1], "config.monte_carlo"),
+            ("functional", "data", 5, "config.data"),
+            ("functional", None, [1], "config"),
+            ("functional", "prior", 5, "config.prior"),
+            ("projector", "selection", 5, "config.selection"),
+            ("budget", "budget", 5, "config.budget"),
+            ("coverage", "functional", 3, "config.functional"),
+            ("functional", "functional", "kind", "config.functional"),
+            ("functional", "prior", "kind", "config.prior"),
+            ("functional", "model", "mu", "config.model"),
+            ("functional", "model", [1], "config.model"),
+            ("functional", "functional", "trace", "config.functional"),
+            ("functional", "functional", {"kind": "entry", "i": "x", "j": 0},
+             "config.functional.i"),
+            ("functional", "functional", {"kind": "eigenvalue_cluster", "s": "1"},
+             "config.functional.s"),
+            ("functional", "functional", {"kind": ["trace"]}, "config.functional.kind"),
+            ("functional", "functional", {"kind": "entry", "i": 0.5, "j": 0},
+             "config.functional.i"),
+            ("functional", "functional", {"kind": "entry", "i": True, "j": 0},
+             "config.functional.i"),
+            ("functional", "functional", {"kind": "linear", "phi": "abc"},
+             "config.functional.phi"),
+            ("functional", "functional", {"kind": "linear", "phi": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+             "config.functional.phi"),
+            ("functional", "model", {"sigma_csv": 5}, "config.model.sigma_csv"),
+            ("functional", "model", {"sigma_csv": ["sigma.csv"]}, "config.model.sigma_csv"),
+            ("functional", "model", {"sigma_csv": "sigma.csv", "mult": ["a", 1]},
+             "config.model.mult[0]"),
+            ("functional", "model", {"sigma_csv": "sigma.csv", "mult": 2}, "config.model.mult"),
+        ],
+        ids=[
+            "monte_carlo-list", "data-number", "config-list", "prior-number",
+            "selection-number", "budget-number", "coverage-functional-number",
+            "functional-string", "prior-string", "model-string", "model-list",
+            "functional-kind-string", "entry-i-string", "cluster-s-string", "kind-list",
+            "entry-i-fraction", "entry-i-boolean", "phi-string", "phi-ragged",
+            "sigma_csv-number", "sigma_csv-list", "sigma_csv-mult-string",
+            "sigma_csv-mult-number",
+        ],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, command, field, value, path):
+        # a section that is not a JSON object, or a field of the wrong type,
+        # is a config error with its path, never a traceback, and never read
+        # as a missing field; field None stands for the whole config
+        (tmp_path / "sigma.csv").write_text("3\n2.0,0.1,0.0\n0.1,1.0,0.0\n0.0,0.0,1.0\n")
+        cfg = command_config(command)
+        if field is None:
+            cfg = value
+        else:
+            cfg[field] = value
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f": {path}: " in err
+        assert "Traceback" not in err and "missing required field" not in err
 
     def test_report_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
@@ -420,6 +490,18 @@ class TestExperimentCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 17
         assert set(manifest["outputs"]) == {"report.json", "statistic.csv"}
+
+    def test_entry_functional_from_config(self, tmp_path, capsys):
+        # the section's indices reach the entry functional as given
+        cfg = base_config(
+            "bvm-functional", data={"n": 400, "seed": 3}, prior={"kind": "inverse_wishart"},
+            functional={"kind": "entry", "i": 1, "j": 2}, monte_carlo={"posterior_draws": 1000},
+        )
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        model = model_from_spectrum([2.0, 1.0], [1, 2], rotation_seed=0)
+        assert report["functional"] == "entry"
+        assert report["normalizer"] == entry_functional(model, 1, 2).normalizer
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = base_config(

@@ -253,7 +253,7 @@ class TestBudgets:
     def test_projector_budget_terms(self):
         sel = EigenspaceSelection(1, 1)
         budget = budget_projector(
-            self.model, sel, n=10_000, p=5, delta_hat=0.03, g_norm=0.05, l_star_j=1.0
+            self.model, sel, n=10_000, delta_hat=0.03, g_norm=0.05, l_star_j=1.0
         )
         for key in ("diamond_1", "diamond_2", "diamond_3", "normalizer"):
             assert budget.terms[key] > 0
@@ -262,7 +262,7 @@ class TestBudgets:
 
     def test_projector_budget_reproducible(self):
         sel = EigenspaceSelection(1, 2)
-        kwargs = dict(n=2000, p=5, delta_hat=0.1, g_norm=0.2, l_star_j=2.0)
+        kwargs = dict(n=2000, delta_hat=0.1, g_norm=0.2, l_star_j=2.0)
         a = budget_projector(self.model, sel, **kwargs)
         b = budget_projector(self.model, sel, **kwargs)
         assert a.total == b.total
@@ -276,7 +276,7 @@ class TestBudgets:
         model = model_from_spectrum([3.0, 1.0], [1, 1])
         with pytest.raises(DegenerateNormalizer):
             budget_projector(
-                model, EigenspaceSelection(1, 1), n=100, p=2,
+                model, EigenspaceSelection(1, 1), n=100,
                 delta_hat=0.1, g_norm=0.1, l_star_j=1.0,
             )
 

@@ -14,7 +14,6 @@ from covbvm import (
     eigenvalue_cluster_functional,
     evaluate,
     evaluate_batch,
-    functional_from_json,
     kolmogorov_distance,
     linear_functional,
     linearization_residual,
@@ -82,11 +81,6 @@ class TestBuilders:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateFunctional):
             linear_functional(self.model, np.zeros((4, 4)))
-
-    def test_from_json_round_trip(self):
-        func = functional_from_json(self.model, {"kind": "entry", "i": 1, "j": 2})
-        direct = entry_functional(self.model, 1, 2)
-        assert np.allclose(func.phi, direct.phi)
 
     def test_unit_norm_identity(self):
         # Tr[Phi Sigma] agrees with the thin factorization Tr[Psi U' Sigma U]

@@ -234,6 +234,45 @@ def test_package_reads_datasets_through_their_covariance(path):
     assert attribute_reads(path.read_text(), "samples") == []
 
 
+def name_mentions(source: str, name: str) -> list[int]:
+    """Line of each mention of a name: read or bound, imported, or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(node.lineno for alias in node.names
+                         if name in (alias.name.split(".")[-1], alias.asname))
+        elif (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_mention_checker_finds_every_form():
+    source = (
+        "from .errors import ConfigError\n"
+        "import covbvm.errors as e\n"
+        "raise e.ConfigError('x')\n"
+        "from .errors import CovBvmError as ConfigError\n"
+        "ConfigErrors = 1\n"
+        "'ConfigError'\n"
+        "except_ = ConfigError\n"
+    )
+    assert name_mentions(source, "ConfigError") == [1, 3, 4, 7]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted((ROOT / "src/covbvm").glob("*.py"))
+     if path.name not in ("cli.py", "errors.py")],
+    ids=lambda p: p.name,
+)
+def test_config_format_lives_in_cli(path):
+    # the CLI reads the config format and reports its faults; no other module
+    # parses a config, so none raises or imports ConfigError
+    assert name_mentions(path.read_text(), "ConfigError") == []
+
+
 def foreign_warnings(source: str, allowed) -> list[str]:
     """``line: category`` for each ``warnings.warn`` call whose category is
     not a name in ``allowed``; a call without one warns as UserWarning."""
