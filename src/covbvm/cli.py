@@ -15,11 +15,12 @@ import numbers
 import os
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .datagen import DatasetSpec, derived_seed, sample_dataset
+from .datagen import FAMILIES, DatasetSpec, derived_seed, sample_dataset
 from .diagnostics import (
     MIN_CONTRACTION_DRAWS,
     MIN_LAW_SIZE,
@@ -56,44 +57,148 @@ from .projectors import posterior_projector_statistic, projector_bvm_check, proj
 from .spd import SpdMatrix, load_matrix_csv, vicinity_mask
 from .spectral import EigenspaceSelection, model_from_spectrum, spectral_decompose
 
-COMMANDS = (
-    "bvm-functional",
-    "bvm-projector",
-    "contraction",
-    "flatness",
-    "bridge",
-    "coverage",
-    "budget",
-)
-
 SCHEMA_VERSION = 1
 _SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config fields
 
 
-def _field(doc, key: str, where: str, default=...):
-    """``doc[key]`` of the config section at path ``where``, or ``default``.
+class _Row(NamedTuple):
+    """A config field: its dotted path, its JSON kind (a key of _NUMERIC,
+    "string" or "JSON object"), the domain its value or each element must lie
+    in (an interval such as "(0, 1)", a tuple of choices, or None), and its
+    default (``...`` if required, a row for that row's value; a null reads as
+    absent where the default is None).  With ``when`` = (path, value), it is
+    read only where the field at path holds value, None meaning absent and
+    _GIVEN any value."""
 
-    Raises ConfigError naming ``where`` when the section is not a JSON object,
-    or when it lacks the key and no default is given (``...``).
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: must be a JSON object, got {doc!r}")
-    if key in doc:
-        return doc[key]
-    if default is ...:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return default
+    path: str
+    kind: str
+    domain: str | tuple | None = None
+    default: object = ...
+    when: tuple | None = None
+
+
+# the numeric kinds, as _numeric's (integer, ndim); an increasing list is non-empty
+_NUMERIC = {"integer": (True, 0), "number": (False, 0), "list of integers": (True, 1),
+            "list of numbers": (False, 1), "increasing list of numbers": (False, 1),
+            "matrix of numbers": (False, 2)}
+_GIVEN = object()
+_SEED = _Row("seed", "integer", "[0, inf)")
+_CSV, _SPECTRUM = ("model.sigma_csv", _GIVEN), ("model.sigma_csv", None)
+_DATA = (
+    _Row("data.n", "integer", "[2, inf)"),
+    _Row("data.family", "string", FAMILIES, "gaussian"),
+    _Row("data.seed", "integer", "[0, inf)", _SEED),
+)
+_WISHART = (
+    _Row("prior.scale_diag", "number", "(0, inf)", 0.01, ("prior.kind", "inverse_wishart")),
+    _Row("prior.b", "number", "(0, inf)", 2.0, ("prior.kind", "inverse_wishart")),
+)
+_PRIOR = (
+    _Row("prior.kind", "string", ("inverse_wishart", "uniform_vicinity")),
+    *_WISHART,
+    _Row("prior.delta", "number", "(0, inf)", ..., ("prior.kind", "uniform_vicinity")),
+)
+_GRID = _Row("delta_grid", "increasing list of numbers", "(0, inf)")
+_REPLICATIONS = _Row("monte_carlo.replications", "integer", "[1, inf)", 100)
+_DRAWS = _Row("monte_carlo.posterior_draws", "integer", f"[{MIN_LAW_SIZE}, inf)", 10_000)
+_L_STAR = _Row("l_star_j", "number", "[0, inf)")
+_ESTIMATED, _SELECTED = ("delta_bar", None), ("functional", None)
+
+
+def _functional(when=None) -> tuple:
+    kinds = ("trace", "log_det", "entry", "eigenvalue_cluster", "linear")
+    return (
+        _Row("functional.kind", "string", kinds, ..., when),
+        _Row("functional.i", "integer", "[0, inf)", ..., ("functional.kind", "entry")),
+        _Row("functional.j", "integer", "[0, inf)", ..., ("functional.kind", "entry")),
+        _Row("functional.s", "integer", "[1, inf)", ..., ("functional.kind", "eigenvalue_cluster")),
+        _Row("functional.phi", "matrix of numbers", None, ..., ("functional.kind", "linear")),
+    )
+
+
+def _selection(when=None) -> tuple:
+    return tuple(_Row(f"selection.s_{end}", "integer", "[1, inf)", ..., when)
+                 for end in ("minus", "plus"))
+
+
+def _budget(context: str, **defaults) -> tuple:
+    return tuple(_Row(f"budget.{key}", "number", "[0, inf)", default, ("budget.context", context))
+                 for key, default in defaults.items())
+
+
+# the fields of each command, read in order once the model is built
+_FIELDS = {
+    "bvm-functional": (*_DATA, *_PRIOR, *_functional(), _DRAWS),
+    "bvm-projector": (*_DATA, *_PRIOR, *_selection(), _L_STAR, _DRAWS),
+    "contraction": (*_DATA, *_PRIOR, _GRID, _REPLICATIONS,
+                    _DRAWS._replace(domain=f"[{MIN_CONTRACTION_DRAWS}, inf)")),
+    "flatness": (*_PRIOR, _GRID, _REPLICATIONS),
+    "bridge": (
+        *_DATA, _Row("prior.kind", "string", ("inverse_wishart",), "inverse_wishart"), *_WISHART,
+        _Row("delta_bar", "number", "(0, inf)", None), _GRID._replace(when=_ESTIMATED),
+        _REPLICATIONS._replace(when=_ESTIMATED), _DRAWS,
+    ),
+    "coverage": (
+        *_DATA, *_PRIOR, _Row("nominal_level", "number", "(0, 1)", 0.95),
+        _REPLICATIONS._replace(domain="[100, inf)"), _DRAWS._replace(domain="[1, inf)"),
+        # a functional section asks for a functional's interval, else a selection's
+        _Row("functional", "JSON object", None, None), *_functional(("functional", _GIVEN)),
+        *_selection(_SELECTED), _DRAWS._replace(when=_SELECTED),
+    ),
+    "budget": (
+        _Row("budget.context", "string", ("posterior_independence", "functional", "projector")),
+        _Row("budget.n", "integer", "[1, inf)"),
+        *_budget("posterior_independence", rho=..., rho_w=...),
+        *_functional(("budget.context", "functional")),
+        *_budget("functional", delta_w=..., delta_hat=..., delta_tilde=..., g_norm_scaled=0.0),
+        *_selection(("budget.context", "projector")),
+        *_budget("projector", delta_hat=..., g_norm=0.0),
+        _L_STAR._replace(when=("budget.context", "projector")),
+    ),
+}
+COMMANDS = tuple(_FIELDS)
+# every command reads these, and builds its model from them
+_RUN_FIELDS = (
+    _Row("schema_version", "integer", (SCHEMA_VERSION,)),
+    _Row("command", "string", COMMANDS),
+    _SEED,
+    _Row("output_dir", "string", None, "out"),
+    _Row("model.sigma_csv", "string", None, None),
+    _Row("model.mu", "list of numbers", "(0, inf)", ..., _SPECTRUM),
+    _Row("model.mult", "list of integers", "[1, inf)", ..., _SPECTRUM),
+    _Row("model.mult", "list of integers", "[1, inf)", None, _CSV),
+    _Row("model.rotation_seed", "integer", "[0, inf)", None, _SPECTRUM),
+)
+
+
+def _lookup(cfg, path: str, default):
+    """The value at a dotted path below the config root and the path from
+    ``config``, or ``default`` where a key on the path is absent.  Raises
+    ConfigError naming a section that is not a JSON object, or that lacks the
+    key when no default is given (``...``)."""
+    doc, where = cfg, "config"
+    for key in path.split("."):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{where}: must be a JSON object, got {doc!r}")
+        if key not in doc:
+            if default is ...:
+                raise ConfigError(f"{where}: missing required field {key!r}")
+            return default, where
+        doc, where = doc[key], f"{where}.{key}"
+    return doc, where
 
 
 def _numeric(value, where: str, integer: bool, ndim: int):
     """A config value as a float, or an int with ``integer=True``; with
     ``ndim`` d > 0, as a list of such values nested d deep.  Raises
     ConfigError naming the value's path for anything else (a string, a
-    boolean, a number where a list is needed, a fraction where an integer is).
+    boolean, a number where a list is needed, a fraction where an integer is,
+    or a non-finite number, which Python's JSON parser reads from Infinity,
+    NaN or an overflowing 1e400).
     """
     if ndim:
         if not isinstance(value, list):
@@ -101,6 +206,8 @@ def _numeric(value, where: str, integer: bool, ndim: int):
         return [_numeric(x, f"{where}[{i}]", integer, ndim - 1) for i, x in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where}: must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value}")
     if not integer:
         return float(value)
     if value != int(value):
@@ -108,134 +215,104 @@ def _numeric(value, where: str, integer: bool, ndim: int):
     return int(value)
 
 
-def _number(doc, key: str, where: str, default=..., integer=False, ndim=0):
-    """Field ``key`` of section ``where`` through ``_numeric``.  A default,
-    taken by an absent key or by a null where the default is null, is
-    returned as it stands."""
-    value = _field(doc, key, where, default)
-    return value if value is default else _numeric(value, f"{where}.{key}", integer, ndim)
+def _applies(row: _Row, values: dict) -> bool:
+    """Whether ``row`` is read, given the ``values`` read before it."""
+    if row.when is None:
+        return True
+    got, want = values.get(row.when[0]), row.when[1]
+    return got is not None if want is _GIVEN else got == want
 
 
-def _require_finite(doc, where: str = "config") -> None:
-    """Raise ConfigError at the first non-finite number in a parsed config.
-
-    Python's JSON parser accepts ``Infinity`` and ``NaN`` and reads an
-    overflowing literal such as ``1e400`` as inf; no config field takes one.
-    """
-    if isinstance(doc, float) and not math.isfinite(doc):
-        raise ConfigError(f"{where}: must be a finite number, got {doc}")
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            _require_finite(value, f"{where}.{key}")
-    elif isinstance(doc, list):
-        for index, value in enumerate(doc):
-            _require_finite(value, f"{where}[{index}]")
+def _inside(value, domain) -> bool:
+    """Whether a value, or each element of a list, lies in a row's domain."""
+    if isinstance(value, list):
+        return all(_inside(x, domain) for x in value)
+    if isinstance(domain, tuple):
+        return value in domain
+    low, high = map(float, domain[1:-1].split(","))
+    above = low < value if domain[0] == "(" else low <= value
+    return above and (value < high if domain[-1] == ")" else value <= high)
 
 
-def _build_model(doc, base_dir: str):
-    where = "config.model"
-    path = _field(doc, "sigma_csv", where, None)
+def _parse(cfg, rows, values=None) -> dict:
+    """``values`` with the value of each row of ``rows`` that applies added
+    under its path.  Raises ConfigError naming the path of the first field
+    that is missing, of the wrong kind or outside its domain."""
+    values = {} if values is None else values
+    for row in filter(lambda row: _applies(row, values), rows):
+        default = values[row.default.path] if isinstance(row.default, _Row) else row.default
+        value, where = _lookup(cfg, row.path, default)
+        if value is not default:
+            if row.kind in _NUMERIC:
+                value = _numeric(value, where, *_NUMERIC[row.kind])
+            elif not isinstance(value, str if row.kind == "string" else dict):
+                raise ConfigError(f"{where}: must be a {row.kind}, got {value!r}")
+            if row.kind.startswith("increasing") and not (value and value == sorted(set(value))):
+                raise ConfigError(f"{where}: must be non-empty and increasing, got {value}")
+            if row.domain is not None and not _inside(value, row.domain):
+                domain = (f"one of {', '.join(map(repr, row.domain))}"
+                          if isinstance(row.domain, tuple) else f"in {row.domain}")
+                raise ConfigError(f"{where}: must be {domain}, got {value!r}")
+        values[row.path] = value
+    return values
+
+
+# the checks that need the model, or the data, are made as its parts are built
+
+
+def _build_model(v: dict, base_dir: str):
+    path = v["model.sigma_csv"]
     if path is None:
-        return model_from_spectrum(
-            _number(doc, "mu", where, ndim=1),
-            _number(doc, "mult", where, integer=True, ndim=1),
-            rotation_seed=_number(doc, "rotation_seed", where, None, integer=True),
-        )
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}.sigma_csv: must be a path, got {path!r}")
-    mults = _number(doc, "mult", where, None, integer=True, ndim=1)
+        return model_from_spectrum(v["model.mu"], v["model.mult"], v["model.rotation_seed"])
     try:
         sigma = load_matrix_csv(os.path.join(base_dir, path))
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}.sigma_csv: {exc}") from exc
-    return spectral_decompose(sigma, mults=mults)
+        raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
+    return spectral_decompose(sigma, mults=v["model.mult"])
 
 
-def _build_prior(doc, model):
-    where = "config.prior"
-    kind = _field(doc, "kind", where)
+def _build_prior(v: dict, model):
+    if v["prior.kind"] == "uniform_vicinity":
+        return UniformVicinityPrior(model.sigma_star, v["prior.delta"])
+    return InverseWishartPrior(SpdMatrix(v["prior.scale_diag"] * np.eye(model.dim)), b=v["prior.b"])
+
+
+def _build_functional(v: dict, model) -> FunctionalSpec:
+    kind = v["functional.kind"]
     try:
-        if kind == "inverse_wishart":
-            scale_diag = _number(doc, "scale_diag", where, 0.01)
-            b = _number(doc, "b", where, 2.0)
-            return InverseWishartPrior(SpdMatrix(scale_diag * np.eye(model.dim)), b=b)
-        if kind == "uniform_vicinity":
-            return UniformVicinityPrior(model.sigma_star, _number(doc, "delta", where))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(
-        f"{where}: unsupported kind {kind!r} (generic priors need a callable "
-        "density and are not configurable from JSON)"
-    )
-
-
-def _build_functional(doc, model) -> FunctionalSpec:
-    where = "config.functional"
-    kind = _field(doc, "kind", where)
-    try:
-        if kind == "trace":
-            return trace_functional(model)
-        if kind == "log_det":
-            return log_det_functional(model)
         if kind == "entry":
-            i, j = (_number(doc, key, where, integer=True) for key in ("i", "j"))
-            return entry_functional(model, i, j)
+            return entry_functional(model, v["functional.i"], v["functional.j"])
         if kind == "eigenvalue_cluster":
-            return eigenvalue_cluster_functional(model, _number(doc, "s", where, integer=True))
+            return eigenvalue_cluster_functional(model, v["functional.s"])
         if kind == "linear":
-            phi, p = _number(doc, "phi", where, ndim=2), model.dim
+            phi, p = v["functional.phi"], model.dim
             if len(phi) != p or any(len(row) != p for row in phi):
-                raise ConfigError(f"{where}.phi: must be a {p} x {p} matrix, got {phi}")
+                raise ConfigError(f"config.functional.phi: must be a {p} x {p} matrix, got {phi}")
             return linear_functional(model, np.array(phi))
     except BadDimension as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind: unknown functional kind {kind!r}")
+        raise ConfigError(f"config.functional: {exc}") from exc
+    return trace_functional(model) if kind == "trace" else log_det_functional(model)
 
 
-def _build_data_spec(doc, model, seed: int) -> DatasetSpec:
-    where = "config.data"
-    try:
-        return DatasetSpec(
-            model=model,
-            family=_field(doc, "family", where, "gaussian"),
-            n=_number(doc, "n", where, integer=True),
-            seed=_number(doc, "seed", where, seed, integer=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _build_selection(cfg: dict) -> EigenspaceSelection:
-    doc = _field(cfg, "selection", "config")
-    s_minus, s_plus = (
-        _number(doc, key, "config.selection", integer=True) for key in ("s_minus", "s_plus")
-    )
+def _build_selection(v: dict, model) -> EigenspaceSelection:
+    s_minus, s_plus = v["selection.s_minus"], v["selection.s_plus"]
+    if not s_minus <= s_plus <= model.num_groups:
+        raise ConfigError(f"config.selection: need s_minus <= s_plus <= {model.num_groups}, "
+                          f"the group count, got [{s_minus}, {s_plus}]")
     return EigenspaceSelection(s_minus, s_plus)
 
 
-def _monte_carlo(cfg: dict) -> dict:
-    mc = _field(cfg, "monte_carlo", "config", {})
-    defaults = {"posterior_draws": 10_000, "replications": 100}
-    return {key: _number(mc, key, "config.monte_carlo", default, integer=True)
-            for key, default in defaults.items()}
-
-
-def _law_draws(mc: dict) -> int:
-    """Posterior draws for a command that forms an empirical law of them."""
-    draws = mc["posterior_draws"]
-    if draws < MIN_LAW_SIZE:
+def _build_delta_bar(v: dict, prior, data_spec: DatasetSpec) -> float:
+    """The given vicinity radius, or else the contraction radius on the grid."""
+    if v["delta_bar"] is not None:
+        return v["delta_bar"]
+    draws = max(1000, v["monte_carlo.posterior_draws"] // 4)
+    reps, seed = min(v["monte_carlo.replications"], 20), derived_seed(v["seed"], 0)
+    radius = estimate_contraction_radius(prior, data_spec, v["delta_grid"], draws, reps, seed)
+    if not math.isfinite(radius):
         raise ConfigError(
-            f"config.monte_carlo.posterior_draws: need at least {MIN_LAW_SIZE}, got {draws}"
-        )
-    return draws
-
-
-def _delta_grid(cfg: dict) -> list[float]:
-    """The increasing grid of contraction radii."""
-    grid = _number(cfg, "delta_grid", "config", ndim=1)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"config.delta_grid: radii must be increasing, got {grid}")
-    return grid
+            "config.delta_grid: no grid radius holds the mass; widen the grid or give delta_bar")
+    return radius
 
 
 def config_hash(cfg: dict) -> str:
@@ -274,42 +351,38 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Commands: each takes the values _parse read, and returns its report and
+# the CSVs to write, by name, as a header and columns
 
 
-def _cmd_bvm_functional(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
-    prior = _build_prior(_field(cfg, "prior", "config"), model)
-    functional = _build_functional(_field(cfg, "functional", "config"), model)
+def _cmd_bvm_functional(v, model, tag):
+    data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
+    prior = _build_prior(v, model)
+    functional = _build_functional(v, model)
     dataset = sample_dataset(data_spec)
-    draws = sample_posterior(default_sampler(prior, dataset, seed=seed), _law_draws(mc))
+    sampler = default_sampler(prior, dataset, seed=v["seed"])
+    draws = sample_posterior(sampler, v["monte_carlo.posterior_draws"])
     law = standardized_statistic(functional, draws, dataset)
     ks = kolmogorov_distance(law, _normal_cdf)
-    csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"standardized_{functional.kind} config={tag}", law.values)
     report = {
         "command": "bvm-functional",
         "ks": ks,
         "ks_resolution": ks_resolution(len(law)),
         "n": data_spec.n,
-        "posterior_draws": mc["posterior_draws"],
+        "posterior_draws": v["monte_carlo.posterior_draws"],
         "functional": functional.kind,
         "normalizer": functional.normalizer,
     }
-    return report, ["statistic.csv"]
+    return report, {"statistic.csv": (f"standardized_{functional.kind} config={tag}", law.values)}
 
 
-def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
-    prior = _build_prior(_field(cfg, "prior", "config"), model)
-    sel = _build_selection(cfg)
-    l_star = _number(cfg, "l_star_j", "config")
-    result = projector_bvm_check(model, sel, prior, data_spec, _law_draws(mc), l_star, seed=seed)
+def _cmd_bvm_projector(v, model, tag):
+    data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
+    prior = _build_prior(v, model)
+    sel = _build_selection(v, model)
+    draws, seed = v["monte_carlo.posterior_draws"], v["seed"]
+    result = projector_bvm_check(model, sel, prior, data_spec, draws, v["l_star_j"], seed=seed)
     law = result.statistic.law
-    csv_path = os.path.join(out_dir, "statistic.csv")
-    _write_csv(csv_path, f"projector_statistic config={tag}", law.values)
     report = {
         "command": "bvm-projector",
         "ks": result.ks_distance,
@@ -320,72 +393,44 @@ def _cmd_bvm_projector(cfg, model, out_dir, tag, seed):
         "near_degenerate_draws": result.statistic.near_degenerate_count,
         "eigh_fallback_draws": result.statistic.eigh_fallback_count,
     }
-    return report, ["statistic.csv"]
+    return report, {"statistic.csv": (f"projector_statistic config={tag}", law.values)}
 
 
-def _cmd_contraction(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
-    prior = _build_prior(_field(cfg, "prior", "config"), model)
-    grid = _delta_grid(cfg)
-    draws = mc["posterior_draws"]
-    if draws < MIN_CONTRACTION_DRAWS:
-        raise ConfigError(
-            "config.monte_carlo.posterior_draws: contraction needs at least "
-            f"{MIN_CONTRACTION_DRAWS} per grid point, got {draws}"
-        )
+def _cmd_contraction(v, model, tag):
+    data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
+    prior = _build_prior(v, model)
     if model.dim / data_spec.n > 0.1:
         warnings.warn(
             f"p/n = {model.dim / data_spec.n:.3f} > 0.1; the contraction bound's "
             "implicit constant may not apply",
             PreconditionWarning,
         )
-    radius = estimate_contraction_radius(
-        prior, data_spec, grid, draws, mc["replications"], seed=seed
-    )
+    draws, reps = v["monte_carlo.posterior_draws"], v["monte_carlo.replications"]
+    radius = estimate_contraction_radius(prior, data_spec, v["delta_grid"], draws, reps, v["seed"])
     report = {
         "command": "contraction",
         "radius": radius if math.isfinite(radius) else "inf",
-        "delta_grid": grid,
-        "replications": mc["replications"],
+        "delta_grid": v["delta_grid"],
+        "replications": reps,
     }
-    return report, []
+    return report, {}
 
 
-def _cmd_flatness(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    prior = _build_prior(_field(cfg, "prior", "config"), model)
-    grid = _number(cfg, "delta_grid", "config", ndim=1)
-    if any(d <= 0 for d in grid):
-        raise ConfigError(f"config.delta_grid: flatness radii must be positive, got {grid}")
-    rho = flatness_profile(prior, model, grid, mc["replications"], seed=seed)
-    _write_csv(os.path.join(out_dir, "flatness.csv"), "delta,rho", grid, rho)
+def _cmd_flatness(v, model, tag):
+    prior = _build_prior(v, model)
+    grid = v["delta_grid"]
+    rho = flatness_profile(prior, model, grid, v["monte_carlo.replications"], seed=v["seed"])
     report = {"command": "flatness", "delta_grid": grid, "rho": [float(x) for x in rho]}
-    return report, ["flatness.csv"]
+    return report, {"flatness.csv": ("delta,rho", grid, rho)}
 
 
-def _cmd_bridge(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
-    conj_prior = _build_prior(_field(cfg, "prior", "config", {"kind": "inverse_wishart"}), model)
-    if not isinstance(conj_prior, InverseWishartPrior):
-        raise ConfigError("config.prior: bridge runs compare against a conjugate prior")
-    n = data_spec.n
-    delta_bar = _number(cfg, "delta_bar", "config", None)
-    if delta_bar is None:
-        delta_bar = estimate_contraction_radius(
-            conj_prior, data_spec, _delta_grid(cfg), max(1000, mc["posterior_draws"] // 4),
-            min(mc["replications"], 20), seed=derived_seed(seed, 0),
-        )
-        if not math.isfinite(delta_bar):
-            raise ConfigError(
-                "config.delta_grid: no grid radius holds the mass; widen the grid "
-                "or give delta_bar"
-            )
-    elif delta_bar <= 0:
-        raise ConfigError(f"config.delta_bar: must be positive, got {delta_bar}")
+def _cmd_bridge(v, model, tag):
+    data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
+    conj_prior = _build_prior(v, model)
+    n, seed, draws = data_spec.n, v["seed"], v["monte_carlo.posterior_draws"]
+    delta_bar = _build_delta_bar(v, conj_prior, data_spec)
     dataset = sample_dataset(data_spec)
-    conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), mc["posterior_draws"])
+    conj = sample_posterior(default_sampler(conj_prior, dataset, seed=seed), draws)
     battery = default_statistic_battery()
     # one pass over the conjugate draws: their battery columns and which lie
     # in the vicinity, so the localized law is the masked columns
@@ -394,63 +439,45 @@ def _cmd_bridge(cfg, model, out_dir, tag, seed):
     columns = np.concatenate([cols for cols, _ in parts])
     inside = np.concatenate([mask for _, mask in parts])
     uniform_prior = UniformVicinityPrior(model.sigma_star, delta_bar)
-    uniform = sample_posterior(
-        default_sampler(uniform_prior, dataset, seed=derived_seed(seed, 1)), mc["posterior_draws"]
-    )
+    uniform_sampler = default_sampler(uniform_prior, dataset, seed=derived_seed(seed, 1))
+    uniform = statistic_columns(sample_posterior(uniform_sampler, draws), battery)
     report = {
         "command": "bridge",
         "delta_bar": float(delta_bar),
         "localized_vs_full": max_kolmogorov_distance(columns[inside], columns),
-        "uniform_vs_conjugate": max_kolmogorov_distance(
-            statistic_columns(uniform, battery), columns
-        ),
+        "uniform_vs_conjugate": max_kolmogorov_distance(uniform, columns),
         "localization_bound": 2.0 / n,
         "n": n,
     }
-    return report, []
+    return report, {}
 
 
-def _posterior_interval(values: np.ndarray, level: float):
-    lo = float(np.quantile(values, (1 - level) / 2))
-    hi = float(np.quantile(values, 1 - (1 - level) / 2))
-    return lo, hi
-
-
-def _cmd_coverage(cfg, model, out_dir, tag, seed):
-    mc = _monte_carlo(cfg)
-    data_spec = _build_data_spec(_field(cfg, "data", "config"), model, seed)
-    prior = _build_prior(_field(cfg, "prior", "config"), model)
-    level = _number(cfg, "nominal_level", "config", 0.95)
-    reps = mc["replications"]
-    if reps < 100:
-        raise ConfigError("config.monte_carlo.replications: coverage needs at least 100")
-    draws_per_rep = mc["posterior_draws"]
+def _cmd_coverage(v, model, tag):
+    data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
+    prior = _build_prior(v, model)
+    level, reps = v["nominal_level"], v["monte_carlo.replications"]
+    draws_per_rep = v["monte_carlo.posterior_draws"]
     notes = []
-    functional = None
-    sel = None
-    if "functional" in cfg:
-        functional = _build_functional(cfg["functional"], model)
+    functional = sel = None
+    if v["functional"] is not None:
+        functional = _build_functional(v, model)
         truth = evaluate(functional, model.sigma_star)
         if draws_per_rep < 100:
             msg = f"only {draws_per_rep} posterior draws per replication; quantiles unreliable"
             warnings.warn(msg, LowDraws)
             notes.append(msg)
-    elif "selection" in cfg:
-        sel = _build_selection(cfg)
-        draws_per_rep = _law_draws(mc)
-        truth = model.sigma_star.entries[None]
     else:
-        raise ConfigError("config: coverage needs a functional or a selection")
+        sel = _build_selection(v, model)
+        truth = model.sigma_star.entries[None]
     hits = 0
     widths = np.empty(reps)
     for k in range(reps):
         dataset = sample_dataset(data_spec, seed_branch=k)
-        draws = sample_posterior(
-            default_sampler(prior, dataset, seed=derived_seed(seed, k)), draws_per_rep
-        )
+        sampler = default_sampler(prior, dataset, seed=derived_seed(v["seed"], k))
+        draws = sample_posterior(sampler, draws_per_rep)
         if functional is not None:
             vals = functional_values(functional, draws)
-            lo, hi = _posterior_interval(vals, level)
+            lo, hi = (float(np.quantile(vals, q)) for q in ((1 - level) / 2, 1 - (1 - level) / 2))
             hits += lo <= truth <= hi
             widths[k] = hi - lo
         else:
@@ -474,43 +501,20 @@ def _cmd_coverage(cfg, model, out_dir, tag, seed):
         },
         "warnings": notes,
     }
-    return report, []
+    return report, {}
 
 
-def _cmd_budget(cfg, model, out_dir, tag, seed):
-    doc = _field(cfg, "budget", "config")
-    where = "config.budget"
-    context = _field(doc, "context", where)
-    n = _number(doc, "n", where, integer=True)
-    if n < 1:
-        raise ConfigError(f"config.budget.n: must be positive, got {n}")
+def _cmd_budget(v, model, tag):
+    context, n = v["budget.context"], v["budget.n"]
     if context == "posterior_independence":
-        rho, rho_w = _number(doc, "rho", where), _number(doc, "rho_w", where)
-        try:
-            budget = budget_posterior_independence(rho, rho_w, n)
-        except ValueError as exc:
-            raise ConfigError(f"config.budget: {exc}") from exc
+        budget = budget_posterior_independence(v["budget.rho"], v["budget.rho_w"], n)
     elif context == "functional":
-        functional = _build_functional(_field(cfg, "functional", "config"), model)
-        budget = budget_functional(
-            model,
-            functional,
-            n,
-            *(_number(doc, key, where) for key in ("delta_w", "delta_hat", "delta_tilde")),
-            _number(doc, "g_norm_scaled", where, 0.0),
-        )
-    elif context == "projector":
-        budget = budget_projector(
-            model,
-            _build_selection(cfg),
-            n,
-            _number(doc, "delta_hat", where),
-            _number(doc, "g_norm", where, 0.0),
-            _number(cfg, "l_star_j", "config"),
-        )
+        budget = budget_functional(model, _build_functional(v, model), n, *(
+            v[f"budget.{key}"] for key in ("delta_w", "delta_hat", "delta_tilde", "g_norm_scaled")))
     else:
-        raise ConfigError(f"config.budget.context: unknown context {context!r}")
-    return {"command": "budget", **budget.to_json_dict()}, []
+        budget = budget_projector(model, _build_selection(v, model), n, v["budget.delta_hat"],
+                                  v["budget.g_norm"], v["l_star_j"])
+    return {"command": "budget", **budget.to_json_dict()}, {}
 
 
 _DISPATCH = {
@@ -529,26 +533,25 @@ _DISPATCH = {
 
 
 def run(cfg: dict, config_dir: str = ".", out_override=None, seed_override=None) -> dict:
-    """Validate and execute one experiment config; returns the report dict."""
-    version = _field(cfg, "schema_version", "config", None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    _require_finite(cfg)
-    command = _field(cfg, "command", "config")
-    if command not in COMMANDS:
-        raise ConfigError(f"config.command: unknown command {command!r}")
-    if seed_override is not None:
+    """Check every field of one experiment config, run it, and only then
+    write its outputs; returns the report dict."""
+    if seed_override is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": int(seed_override)}
-    seed = _number(cfg, "seed", "config", integer=True)
-    out_dir = out_override or _field(cfg, "output_dir", "config", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    model = _build_model(_field(cfg, "model", "config"), config_dir)
+    values = _parse(cfg, _RUN_FIELDS)
+    # a sigma_csv fault is reported before a missing section of the command
+    model = _build_model(values, config_dir)
+    command = values["command"]
+    _parse(cfg, _FIELDS[command], values)
     tag = config_hash(cfg)
-    report, outputs = _DISPATCH[command](cfg, model, out_dir, tag, seed)
+    report, outputs = _DISPATCH[command](values, model, tag)
+    out_dir = out_override or values["output_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, *columns) in outputs.items():
+        _write_csv(os.path.join(out_dir, name), header, *columns)
     _write_json(os.path.join(out_dir, "report.json"), report)
     manifest = {
         "config_sha256": tag,
-        "seed": seed,
+        "seed": values["seed"],
         "command": command,
         "outputs": ["report.json", *outputs],
         "version": __version__,
@@ -558,9 +561,7 @@ def run(cfg: dict, config_dir: str = ".", out_override=None, seed_override=None)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="covbvm", description="covariance BvM experiment runner"
-    )
+    parser = argparse.ArgumentParser(prog="covbvm", description="covariance BvM experiment runner")
     parser.add_argument("--config", required=True, help="path to the experiment JSON")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=None, help="output directory")
@@ -572,12 +573,8 @@ def main(argv=None) -> int:
         print(f"{args.config}: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(
-            cfg,
-            config_dir=os.path.dirname(os.path.abspath(args.config)),
-            out_override=args.out,
-            seed_override=args.seed,
-        )
+        config_dir = os.path.dirname(os.path.abspath(args.config))
+        report = run(cfg, config_dir, out_override=args.out, seed_override=args.seed)
     except ConfigError as exc:
         print(f"{args.config}: {exc}", file=sys.stderr)
         return 2

@@ -152,10 +152,12 @@ def estimate_contraction_radius(
     grid radius holds the mass; the caller decides whether that is an error.
     """
     delta_grid = np.asarray(delta_grid, dtype=np.float64)
-    if np.any(np.diff(delta_grid) <= 0):
-        raise ValueError("delta grid must be increasing")
+    if len(delta_grid) == 0 or np.any(np.diff(delta_grid) <= 0):
+        raise ValueError("delta grid must be non-empty and increasing")
     if draws_per_point < MIN_CONTRACTION_DRAWS:
         raise ValueError(f"need at least {MIN_CONTRACTION_DRAWS} draws per grid point")
+    if replications < 1:
+        raise ValueError("need at least one replication")
     n = data_spec.n
     model = data_spec.model
     level = 1.0 - 1.0 / n
@@ -206,6 +208,8 @@ def estimate_flatness(
     over the vicinity of the ground truth."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if probe_count < 1:
+        raise ValueError("need at least one probe")
     base = prior.log_density(model.sigma_star.entries)
     if not np.isfinite(base):
         raise UndefinedFlatness("prior density vanishes at the ground truth")
@@ -225,6 +229,8 @@ def flatness_profile(
     seed: int = 0,
 ) -> np.ndarray:
     """estimate_flatness at each radius of the grid, with the same probes."""
+    if probe_count < 1:
+        raise ValueError("need at least one probe")
     return np.array(
         [estimate_flatness(prior, model, d, probe_count, seed) for d in delta_grid]
     )

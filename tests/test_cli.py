@@ -1,5 +1,9 @@
+import importlib.util
 import json
 import math
+import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -7,8 +11,22 @@ import pytest
 import scipy.special
 
 from covbvm import entry_functional, model_from_spectrum
-from covbvm.cli import _normal_cdf, _write_json, config_hash, main, run
+from covbvm.cli import (
+    _FIELDS,
+    _GIVEN,
+    _RUN_FIELDS,
+    _Row,
+    _applies,
+    _normal_cdf,
+    _parse,
+    _write_json,
+    config_hash,
+    main,
+    run,
+)
 from covbvm.errors import ConfigError, LowDraws, PreconditionWarning
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -50,7 +68,167 @@ def command_config(command):
             functional={"kind": "trace"}, monte_carlo={"replications": 100},
         ),
         "budget": base_config("budget"),
+        "flatness": base_config(
+            "flatness", prior={"kind": "inverse_wishart"}, delta_grid=[0.1, 0.2],
+        ),
     }[command]
+
+
+def parse(cfg):
+    """The values of every row a config reads, as ``run`` checks them."""
+    values = _parse(cfg, _RUN_FIELDS)
+    return _parse(cfg, _FIELDS[values["command"]], values)
+
+
+# a 3 x 3 covariance with eigenvalues 2, 1, 1, for a sigma_csv model
+SIGMA_CSV = "3\n2.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n"
+
+
+def table_configs(command):
+    """Valid configs of one command that, between them, read every row of
+    its field table; the second of each has a sigma_csv model."""
+    wishart = {"kind": "inverse_wishart", "scale_diag": 0.01, "b": 2.0}
+    vicinity = {"kind": "uniform_vicinity", "delta": 0.3}
+    data = {"n": 500, "family": "gaussian", "seed": 3}
+    mc = {"posterior_draws": 1000, "replications": 100}
+    functionals = [
+        {"kind": "entry", "i": 0, "j": 1},
+        {"kind": "eigenvalue_cluster", "s": 1},
+        {"kind": "linear", "phi": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    ]
+    selection = {"s_minus": 1, "s_plus": 1}
+    grid = [0.1, 0.2]
+    functional_budget = {"context": "functional", "n": 50, "delta_w": 0.1, "delta_hat": 0.1,
+                         "delta_tilde": 0.1, "g_norm_scaled": 0.0}
+    extras = {
+        "bvm-functional": [
+            dict(data=data, prior=prior, functional=f, monte_carlo=mc)
+            for prior, f in zip((wishart, vicinity, wishart), functionals)
+        ],
+        "bvm-projector": [
+            dict(data=data, prior=prior, selection=selection, l_star_j=1.0, monte_carlo=mc)
+            for prior in (wishart, vicinity)
+        ],
+        "contraction": [
+            dict(data=data, prior=prior, delta_grid=grid, monte_carlo=mc)
+            for prior in (wishart, vicinity)
+        ],
+        "flatness": [
+            dict(prior=prior, delta_grid=grid, monte_carlo=mc) for prior in (wishart, vicinity)
+        ],
+        "bridge": [
+            dict(data=data, prior=wishart, delta_bar=0.3, monte_carlo=mc),
+            dict(data=data, prior=wishart, delta_grid=grid, monte_carlo=mc),
+        ],
+        "coverage": [
+            *(dict(data=data, prior=prior, functional=f, monte_carlo=mc, nominal_level=0.9)
+              for prior, f in zip((wishart, vicinity, wishart), functionals)),
+            dict(data=data, prior=wishart, selection=selection, monte_carlo=mc),
+        ],
+        "budget": [
+            dict(budget={"context": "posterior_independence", "n": 50, "rho": 0.1, "rho_w": 0.2}),
+            *(dict(functional=f, budget=functional_budget) for f in functionals),
+            dict(selection=selection, l_star_j=1.0,
+                 budget={"context": "projector", "n": 50, "delta_hat": 0.1, "g_norm": 0.0}),
+        ],
+    }[command]
+    models = [{"mu": [2.0, 1.0], "mult": [1, 2], "rotation_seed": 0},
+              {"sigma_csv": "sigma.csv", "mult": [1, 2]}]
+    return [
+        {"schema_version": 1, "command": command, "seed": 17, "output_dir": "out",
+         "model": models[i == 1], **extra}
+        for i, extra in enumerate(extras)
+    ]
+
+
+def wrong_kinds(row):
+    """A value of each JSON kind that the row does not take."""
+    kinds = {"string": "x", "boolean": True, "null": None, "list": [1], "object": {"a": 1},
+             "number": 0.5}
+    if row.kind == "string":
+        del kinds["string"]
+    elif row.kind == "JSON object":
+        del kinds["object"]
+    elif row.kind == "number":
+        del kinds["number"]
+    elif "list" in row.kind:
+        del kinds["list"]
+    if row.default is None:
+        del kinds["null"]
+    return list(kinds.values())
+
+
+def just_outside(row):
+    """Values just outside the row's domain."""
+    if row.domain is None:
+        return []
+    if isinstance(row.domain, tuple):
+        return ["nope"] if row.kind == "string" else [max(row.domain) + 1]
+    integer = "integer" in row.kind
+    low, high = (float(end) for end in row.domain[1:-1].split(","))
+    if row.domain[0] == "(":
+        values = [low]
+    else:
+        values = [low - 1 if integer else math.nextafter(low, -math.inf)]
+    if math.isfinite(high):
+        values.append(high if row.domain[-1] == ")" else high + 1)
+    values = [int(x) if integer else x for x in values]
+    if "list" in row.kind:
+        values = [[x] for x in values]
+    if row.kind.startswith("increasing"):
+        values += [[], [0.2, 0.1], [0.1, 0.1]]
+    return values
+
+
+TABLE = [(command, row) for command in _FIELDS for row in (*_RUN_FIELDS, *_FIELDS[command])]
+
+
+def readme_row(row):
+    """The README's table line for one field table row."""
+    if row.domain is None:
+        domain = "any"
+    elif isinstance(row.domain, tuple):
+        domain = ", ".join(f"`{json.dumps(choice)}`" for choice in row.domain)
+    else:
+        domain = f"`{row.domain}`"
+    if row.default is ...:
+        default = "required"
+    elif isinstance(row.default, _Row):
+        default = f"`{row.default.path}`"
+    else:
+        default = f"`{json.dumps(row.default)}`"
+    if row.when is None:
+        when = ""
+    else:
+        path, value = row.when
+        if value is _GIVEN or value is None:
+            when = f"`{path}` {'given' if value is _GIVEN else 'absent'}"
+        else:
+            when = f"`{path}` = `{json.dumps(value)}`"
+    return f"| `{row.path}` | {row.kind} | {domain} | {default} | {when} |"
+
+
+def readme_tables():
+    """Each README field table, by its heading, as the list of its lines."""
+    header = ["| path | type | domain | default | read when |", "| --- | --- | --- | --- | --- |"]
+    tables = {"Every command": _RUN_FIELDS, **{f"`{c}`": rows for c, rows in _FIELDS.items()}}
+    return {title: header + [readme_row(row) for row in rows] for title, rows in tables.items()}
+
+
+def test_readme_tables_match_the_field_table():
+    # the README gives each command's fields as its field table reads them
+    readme = (ROOT / "README.md").read_text()
+    for title, lines in readme_tables().items():
+        section = readme.split(f"\n#### {title}\n", 1)[1].split("\n#", 1)[0]
+        table = [line for line in section.splitlines() if line.startswith("|")]
+        assert table == lines, title
+
+
+def set_path(cfg, path, value):
+    *sections, key = path.split(".")
+    for name in sections:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
 
 
 class TestValidation:
@@ -405,6 +583,80 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f": {path}: " in err
         assert "Traceback" not in err and "missing required field" not in err
+
+    @pytest.mark.parametrize(
+        "command, row", TABLE,
+        ids=[f"{command}-{i}-{row.path}" for i, (command, row) in enumerate(TABLE)],
+    )
+    def test_field_table_refuses_what_lies_outside_it(self, tmp_path, capsys, command, row):
+        # each row of each command's field table, given a value of a kind it
+        # does not take or just outside its domain, in a config that reads it
+        (tmp_path / "sigma.csv").write_text(SIGMA_CSV)
+        configs = table_configs(command)
+        for cfg in configs:
+            parse(cfg)  # each base config is valid
+        base = next(cfg for cfg in configs if _applies(row, parse(cfg)))
+        cases = wrong_kinds(row) + just_outside(row)
+        assert cases
+        for value in cases:
+            cfg = {**json.loads(json.dumps(base)), "output_dir": str(tmp_path / "out")}
+            set_path(cfg, row.path, value)
+            config = write_config(tmp_path, cfg)
+            assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2, value
+            err = capsys.readouterr().err
+            assert re.search(rf": config\.{re.escape(row.path)}[:\[]", err), (value, err)
+            assert "Traceback" not in err
+            assert sorted(os.listdir(tmp_path)) == ["config.json", "sigma.csv"]
+
+    @pytest.mark.parametrize(
+        "command, field, value, path",
+        [
+            ("contraction", "monte_carlo", {"replications": 0}, "config.monte_carlo.replications"),
+            ("contraction", "monte_carlo", {"replications": -5},
+             "config.monte_carlo.replications"),
+            ("bridge", "monte_carlo", {"replications": 0}, "config.monte_carlo.replications"),
+            ("flatness", "monte_carlo", {"replications": 0}, "config.monte_carlo.replications"),
+            ("coverage", "nominal_level", 0, "config.nominal_level"),
+            ("coverage", "nominal_level", 1, "config.nominal_level"),
+            ("coverage", "nominal_level", 2, "config.nominal_level"),
+            ("functional", "output_dir", 5, "config.output_dir"),
+            ("flatness", "delta_grid", [], "config.delta_grid"),
+            ("contraction", "delta_grid", [], "config.delta_grid"),
+            ("contraction", "delta_grid", [-1.0, 0.5], "config.delta_grid"),
+            ("flatness", "delta_grid", [0.2, 0.1], "config.delta_grid"),
+        ],
+        ids=[
+            "contraction-no-replications", "contraction-negative-replications",
+            "bridge-no-replications", "flatness-no-probes", "coverage-level-0",
+            "coverage-level-1", "coverage-level-2", "output_dir-number", "flatness-empty-grid",
+            "contraction-empty-grid", "contraction-negative-radius", "flatness-decreasing-grid",
+        ],
+    )
+    def test_out_of_domain_field_exits_2(self, tmp_path, capsys, command, field, value, path):
+        # each of these used to run and exit 0, or fail with a traceback after
+        # the run had begun
+        cfg = command_config(command)
+        if command == "bridge":  # estimating its radius reads the replications
+            del cfg["delta_bar"]
+            cfg["delta_grid"] = [0.2, 0.3]
+        cfg[field] = value
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f": {path}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_table_accepts_the_benchmark_configs(self):
+        # the benchmark's generated inputs of the CLI workloads lie inside the
+        # table at both of its sizes, so no benchmark run stops on a config check
+        path = ROOT / "bench" / "spec.py"
+        loader = importlib.util.spec_from_file_location("bench_spec", path)
+        spec = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(spec)
+        for name in ("functional-p50", "projector-p20", "vicinity-p3"):
+            for small in (True, False):
+                for seed in range(3):
+                    parse(spec.make_config(name, seed, small=small))
 
     def test_report_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"

@@ -193,6 +193,19 @@ class TestContraction:
                 default_inverse_wishart_prior(2), spec, [0.1, 0.2], 10, 5
             )
 
+    @pytest.mark.parametrize(
+        "grid, replications", [([0.1, 0.2], 0), ([0.1, 0.2], -5), ([], 5)],
+        ids=["no-replications", "negative-replications", "empty-grid"],
+    )
+    def test_refuses_an_empty_estimate(self, grid, replications):
+        # no replication, or no grid radius, leaves nothing to estimate from
+        model = model_from_spectrum([1.0], [2])
+        spec = DatasetSpec(model, "gaussian", 100, seed=0)
+        with pytest.raises(ValueError):
+            estimate_contraction_radius(
+                default_inverse_wishart_prior(2), spec, grid, 1000, replications
+            )
+
 
 class TestFlatness:
     def setup_method(self):
@@ -218,6 +231,15 @@ class TestFlatness:
         rho2 = estimate_flatness(prior, self.model, 2e-3, 400, seed=3)
         assert 0 < rho1 < 0.1
         assert 1.5 <= rho2 / rho1 <= 2.5
+
+    @pytest.mark.parametrize("probe_count", [0, -1])
+    def test_refuses_no_probes(self, probe_count):
+        # no probe bounds no deviation; it used to read as a perfectly flat prior
+        prior = default_inverse_wishart_prior(3)
+        with pytest.raises(ValueError):
+            estimate_flatness(prior, self.model, 0.1, probe_count)
+        with pytest.raises(ValueError):
+            flatness_profile(prior, self.model, [0.1, 0.2], probe_count)
 
     def test_profile_shape(self):
         prior = default_inverse_wishart_prior(3)

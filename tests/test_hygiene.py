@@ -273,6 +273,66 @@ def test_config_format_lives_in_cli(path):
     assert name_mentions(path.read_text(), "ConfigError") == []
 
 
+# the config readers of cli.py, and the error they raise
+CONFIG_READERS = ("_lookup", "_numeric", "_parse", "ConfigError")
+
+
+def config_checks(source: str) -> dict[str, list[str]]:
+    """For each module-level function, the config readers it mentions and
+    whether it raises ConfigError: ``{function: [names..., "raise"]}``, with
+    functions that mention none left out."""
+    found = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = ast.unparse(node)
+        names = [name for name in CONFIG_READERS if name_mentions(body, name)]
+        if any(isinstance(n, ast.Raise) and n.exc is not None
+               and name_mentions(ast.unparse(n.exc), "ConfigError") for n in ast.walk(node)):
+            names.append("raise")
+        if names:
+            found[node.name] = names
+    return found
+
+
+def test_config_check_finder_finds_readers_and_raises():
+    source = (
+        "def _cmd_a(v):\n"
+        "    return _lookup(v, 'x', ...)\n"
+        "def _cmd_b(v):\n"
+        "    if v:\n"
+        "        raise ConfigError('config.x: bad')\n"
+        "def _build_c(v):\n"
+        "    try:\n"
+        "        return v\n"
+        "    except ValueError as exc:\n"
+        "        raise ConfigError(str(exc)) from exc\n"
+        "def main():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ConfigError:\n"
+        "        raise\n"
+        "def _cmd_d(v):\n"
+        "    return v['x']\n"
+    )
+    assert config_checks(source) == {
+        "_cmd_a": ["_lookup"], "_cmd_b": ["ConfigError", "raise"],
+        "_build_c": ["ConfigError", "raise"], "main": ["ConfigError"],
+    }
+
+
+def test_config_domains_live_in_the_field_table():
+    # a command reads the values _parse checked against its field table; only
+    # the reader and the builders, whose checks need the model, raise
+    # ConfigError
+    checks = config_checks((ROOT / "src/covbvm/cli.py").read_text())
+    assert [name for name in checks if name.startswith("_cmd_")] == []
+    raisers = {name for name, names in checks.items() if "raise" in names}
+    assert {name for name in raisers if not name.startswith("_build_")} <= {
+        "_lookup", "_numeric", "_parse"
+    }
+
+
 def foreign_warnings(source: str, allowed) -> list[str]:
     """``line: category`` for each ``warnings.warn`` call whose category is
     not a name in ``allowed``; a call without one warns as UserWarning."""
