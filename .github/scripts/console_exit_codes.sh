@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # Exit codes of the installed `covbvm` console script, run in the current
 # directory: a valid config exits 0 with a report; a section that is not a
-# JSON object, and a field outside its domain, exit 2 and write nothing.
+# JSON object, a field outside its domain, and a model whose `mu` and `mult`
+# differ in length exit 2 and write nothing.
 set -euo pipefail
 
-cfg='"schema_version": 1, "seed": 17, "model": {"mu": [2.0, 1.0], "mult": [1, 2]},
-  "prior": {"kind": "inverse_wishart"}'
+cfg='"schema_version": 1, "seed": 17, "prior": {"kind": "inverse_wishart"}'
+model='"model": {"mu": [2.0, 1.0], "mult": [1, 2]}'
 functional="$cfg, \"command\": \"bvm-functional\", \"functional\": {\"kind\": \"trace\"},
   \"monte_carlo\": {\"posterior_draws\": 1000}"
-echo "{$functional, \"data\": {\"n\": 400}}" > good.json
-echo "{$functional, \"data\": 5}" > bad-section.json
-echo "{$cfg, \"command\": \"contraction\", \"data\": {\"n\": 400}, \"delta_grid\": [0.1, 0.2],
+echo "{$functional, $model, \"data\": {\"n\": 400}}" > good.json
+echo "{$functional, $model, \"data\": 5}" > bad-section.json
+echo "{$cfg, $model, \"command\": \"contraction\", \"data\": {\"n\": 400}, \"delta_grid\": [0.1, 0.2],
   \"monte_carlo\": {\"replications\": 0}}" > bad-replications.json
+echo "{$functional, \"model\": {\"mu\": [2.0, 1.0], \"mult\": [1]}, \"data\": {\"n\": 400}}" > bad-model.json
 
 covbvm --config good.json --out good
 test -f good/report.json
-for name in bad-section bad-replications; do
+for name in bad-section bad-replications bad-model; do
   status=0
   covbvm --config "$name.json" --out "$name" || status=$?
   if [ "$status" -ne 2 ] || [ -e "$name" ]; then

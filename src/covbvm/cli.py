@@ -35,7 +35,15 @@ from .diagnostics import (
     max_kolmogorov_distance,
     statistic_columns,
 )
-from .errors import BadDimension, ConfigError, CovBvmError, LowDraws, PreconditionWarning
+from .errors import (
+    BadDimension,
+    BadGrouping,
+    ConfigError,
+    CovBvmError,
+    LowDraws,
+    PreconditionWarning,
+    RejectionStarved,
+)
 from .functionals import (
     FunctionalSpec,
     eigenvalue_cluster_functional,
@@ -262,13 +270,18 @@ def _parse(cfg, rows, values=None) -> dict:
 
 def _build_model(v: dict, base_dir: str):
     path = v["model.sigma_csv"]
-    if path is None:
-        return model_from_spectrum(v["model.mu"], v["model.mult"], v["model.rotation_seed"])
+    if path is not None:
+        try:
+            sigma = load_matrix_csv(os.path.join(base_dir, path))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
+    # a grouping that the config's mu and mult cannot give is a config fault
     try:
-        sigma = load_matrix_csv(os.path.join(base_dir, path))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"config.model.sigma_csv: {exc}") from exc
-    return spectral_decompose(sigma, mults=v["model.mult"])
+        if path is None:
+            return model_from_spectrum(v["model.mu"], v["model.mult"], v["model.rotation_seed"])
+        return spectral_decompose(sigma, mults=v["model.mult"])
+    except BadGrouping as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
 
 
 def _build_prior(v: dict, model):
@@ -438,6 +451,12 @@ def _cmd_bridge(v, model, tag):
                                    vicinity_mask(mats, model.sigma_star, delta_bar)))
     columns = np.concatenate([cols for cols, _ in parts])
     inside = np.concatenate([mask for _, mask in parts])
+    kept = int(inside.sum())
+    if kept < MIN_LAW_SIZE:
+        raise RejectionStarved(
+            f"{kept} of {draws} conjugate draws lie within delta_bar = {delta_bar}; "
+            f"the localized law needs at least {MIN_LAW_SIZE}"
+        )
     uniform_prior = UniformVicinityPrior(model.sigma_star, delta_bar)
     uniform_sampler = default_sampler(uniform_prior, dataset, seed=derived_seed(seed, 1))
     uniform = statistic_columns(sample_posterior(uniform_sampler, draws), battery)

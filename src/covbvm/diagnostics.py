@@ -14,13 +14,8 @@ import numpy as np
 
 from .datagen import DatasetSpec, derived_rng, derived_seed, sample_dataset
 from .errors import DegenerateFunctional, DegenerateNormalizer, UndefinedFlatness
-from .posterior import (
-    PosteriorDraws,
-    PriorSpec,
-    default_sampler,
-    sample_posterior,
-)
-from .spd import spectral_norm, sym, vicinity_mask
+from .posterior import PosteriorDraws, PriorSpec, default_sampler, localized_posterior_mass
+from .spd import spectral_norm, sym
 from .spectral import EigenspaceSelection, SpectralModel, build_gamma, selection_gap
 
 MIN_LAW_SIZE = 100
@@ -144,12 +139,13 @@ def estimate_contraction_radius(
     """Smallest grid radius whose vicinity holds posterior mass 1 - 1/n.
 
     The requirement must hold in at least ceil((1 - 1/n) R) of R independent
-    data replications.  Each replication's mass at every grid radius is the
-    share of its draws inside, counted block by block with one
-    ``spd.vicinity_mask`` call for the whole grid, so most draws are decided
-    by norm bounds, without eigenvalues, and every count is the one the
-    draws' relative deviations give.  Returns inf, without a warning, when no
-    grid radius holds the mass; the caller decides whether that is an error.
+    data replications.  Each replication's mass at every grid radius is
+    ``posterior.localized_posterior_mass`` of the grid: one
+    ``spd.vicinity_mask`` call per part of the draws for the whole grid, so
+    most draws are decided by norm bounds, without eigenvalues, and every
+    count is the one the draws' relative deviations give.  Returns inf,
+    without a warning, when no grid radius holds the mass; the caller decides
+    whether that is an error.
     """
     delta_grid = np.asarray(delta_grid, dtype=np.float64)
     if len(delta_grid) == 0 or np.any(np.diff(delta_grid) <= 0):
@@ -158,18 +154,12 @@ def estimate_contraction_radius(
         raise ValueError(f"need at least {MIN_CONTRACTION_DRAWS} draws per grid point")
     if replications < 1:
         raise ValueError("need at least one replication")
-    n = data_spec.n
-    model = data_spec.model
-    level = 1.0 - 1.0 / n
+    level = 1.0 - 1.0 / data_spec.n
     success = np.zeros(len(delta_grid), dtype=np.int64)
     for k in range(replications):
         dataset = sample_dataset(data_spec, seed_branch=900_000 + k)
         sampler = default_sampler(prior, dataset, seed=derived_seed(seed, k))
-        draws = sample_posterior(sampler, draws_per_point)
-        inside = sum(
-            draws.map(lambda block: vicinity_mask(block, model.sigma_star, delta_grid).sum(axis=0))
-        )
-        success += inside / len(draws) >= level
+        success += localized_posterior_mass(sampler, delta_grid, draws_per_point) >= level
     needed = math.ceil(level * replications)
     hits = np.nonzero(success >= needed)[0]
     if len(hits) == 0:

@@ -5,49 +5,50 @@ of prior has one sampling method, and ``_SAMPLERS`` maps each method to its
 prior kind and its sampler, for ``PosteriorSampler``, ``default_sampler`` and
 ``sample_posterior`` alike.
 
-With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
-and sampled exactly: the Wishart precision is T T^T with T = L B lower
-triangular (L the Cholesky factor of the inverse scale, B the Bartlett
-factor), so each draw is X^T X with X = T^-1, found by 2x2 block recursion
-down to T's diagonal without forming or inverting the full precision, so X is
-exactly lower triangular.  Each block of draws is drawn and worked on in
-cache-sized sub-blocks (``sub_block_size``): a sub-block takes its normals and
-chi-squares from the stream just before its algebra runs, so the sampler
-holds its output and four sub-block buffers, not a block-sized array.  With
-``factor=True`` the sampler returns the triangular X itself and skips X^T X,
-for statistics that reduce the factor (the functionals).  With
-``reduce=fn`` it returns fn of each sub-block instead, computed while the
-sub-block is in cache, and allocates no output at all: it then holds about
-4 MB at any p and draw count.
+One loop, in ``sample_inverse_wishart``, makes every inverse Wishart draw.
+The Wishart precision is T T^T with T = L B lower triangular (L the Cholesky
+factor of the inverse scale, B the Bartlett factor), so each draw is X^T X
+with X = T^-1, found by 2x2 block recursion down to T's diagonal without
+forming or inverting the full precision, so X is exactly lower triangular.
+The loop works in cache-sized sub-blocks (``sub_block_size``): each takes its
+normals and chi-squares from the stream just before its algebra runs in
+reused buffers, and is handed, as Sigma or with ``factor=True`` as its
+triangular X, to a reducer while it is still in cache.  A reducing call holds
+about 4 MB at any p and draw count; a call without a reducer passes a
+collector that fills the (count, p, p) stack it returns.
 
-A uniform prior on a vicinity (``RejectionInVicinity``) is sampled by exact
-rejection: draws from the flat-likelihood inverse Wishart IW(nS, n - p - 1),
-which needs n > 2p, are kept when they fall inside the vicinity.  A
-density-evaluable ``GenericPrior`` (``Metropolis``) goes through a random-walk
-Metropolis chain on the Cholesky factor, whose theta -> Sigma map and
-log-Jacobian are set up once per chain; a conjugate prior runs on the chain
-when its ``log_density`` is wrapped in a ``GenericPrior``.  The Gaussian-type
-densities (the likelihood and the inverse Wishart prior) factor Sigma = L L^T
-with LAPACK ``dpotrf`` and find each trace term Tr(Sigma^-1 F F^T) =
-||L^-1 F||_F^2 with one triangular ``dtrtrs`` solve against a cached Cholesky
-factor F, called directly because numpy's ``linalg`` overhead dwarfs the work
-on small matrices.  Both come from ``scipy.linalg``, which is imported at the
-first density evaluation, so importing the package and sampling the exact and
-rejection posteriors load no scipy module.
+With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
+and its draws are the loop's.  A uniform prior on a vicinity
+(``RejectionInVicinity``) is sampled by exact rejection: draws from the
+flat-likelihood inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are
+kept when they fall inside the vicinity.  The vicinity test is the loop's
+reducer and writes each kept draw straight into one (count, p, p) stack, so
+no stack of proposals is formed.  A density-evaluable ``GenericPrior``
+(``Metropolis``) goes through a random-walk Metropolis chain on the Cholesky
+factor, whose theta -> Sigma map and log-Jacobian are set up once per chain;
+a conjugate prior runs on the chain when its ``log_density`` is wrapped in a
+``GenericPrior``.  The Gaussian-type densities (the likelihood and the
+inverse Wishart prior) factor Sigma = L L^T with LAPACK ``dpotrf`` and find
+each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one triangular
+``dtrtrs`` solve against a cached Cholesky factor F, called directly because
+numpy's ``linalg`` overhead dwarfs the work on small matrices.  Both come
+from ``scipy.linalg``, which is imported at the first density evaluation, so
+importing the package and sampling the exact and rejection posteriors load
+no scipy module.
 
 Posterior draws are read only through ``PosteriorDraws.map(fn, factor)``,
 which returns fn of each part of the Sigma draws or, with ``factor=True``, of
 factors X with Sigma = X^T X.  Exact conjugate draws are streamed: each call
-draws them afresh from the sampler's seed, one ``sample_inverse_wishart`` call
-per block of ``_CHUNK`` = 4096 draws on one shared generator, with fn passed
-as ``reduce``, so fn sees cache-sized sub-blocks and no block of draws is
-formed.  The functionals, the projector statistic, the TV battery, the
-contraction search, the localized mass and ``localize_draws`` all reduce
-through it.  ``PosteriorDraws.matrices`` fills a fresh (M, p, p) stack through
-``map`` on each read, for code outside the package that needs every draw at
-once.  The Metropolis and rejection samplers run when ``sample_posterior`` is
-called; their parts are slices of at most ``_CHUNK`` stored draws, and their
-factors come from a Cholesky factorization of each slice.
+draws them afresh from the sampler's seed, in one ``sample_inverse_wishart``
+call with fn as its reducer, so fn sees cache-sized sub-blocks and no block
+of draws is formed.  The functionals, the projector statistic, the TV
+battery, the contraction search, the localized mass and ``localize_draws``
+all reduce through it.  ``PosteriorDraws.matrices`` fills a fresh (M, p, p)
+stack with the loop's collector through ``map`` on each read, for code
+outside the package that needs every draw at once.  The Metropolis and
+rejection samplers run when ``sample_posterior`` is called; their parts are
+slices of at most ``_CHUNK`` stored draws, and their factors come from a
+Cholesky factorization of each slice.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -247,30 +248,25 @@ def sample_inverse_wishart(
     is sqrt(chi2(dof - i)).  So the draw W^-1 = X^T X with X = T^-1, inverted by
     triangular block recursion; W itself is never formed.
 
-    Each block of ``_CHUNK`` draws is split into sub-blocks of
-    ``sub_block_size(p)`` draws, small enough to stay in cache, starting at
-    the block's start.  Each sub-block takes its strict-lower normals
-    (row-major ``np.tril_indices`` order) and then its chi-square diagonal
-    from the stream, which fixes the draws for a seed; at p <= 5 a sub-block
-    is the whole block.  Its algebra then runs in three reused buffers (B, X
-    and A = X^T X) and writes the exactly symmetric 0.5 (A + A^T) straight
-    into the (count, p, p) output.  Besides the output, the call holds only
-    the sub-block buffers and the sub-block's normals, about 4 MB.
+    One loop makes every draw.  Each block of ``_CHUNK`` draws is split into
+    sub-blocks of ``sub_block_size(p)`` draws, small enough to stay in cache,
+    starting at the block's start.  Each sub-block takes its strict-lower
+    normals (row-major ``np.tril_indices`` order) and then its chi-square
+    diagonal from the stream, which fixes the draws for a seed; at p <= 5 a
+    sub-block is the whole block.  Its algebra runs in three reused buffers
+    (B, X and X^T X): X is formed in its buffer and, unless ``factor=True``
+    asks for the lower-triangular X itself, overwritten there by the exactly
+    symmetric Sigma = 0.5 (X^T X + (X^T X)^T).  The sub-block's draws are then
+    handed to ``reduce``, while they are still in cache.
 
-    With ``factor=True`` the call returns the (count, p, p) stack of the
-    lower-triangular X instead, inverted in place in the output: the same
-    stream and the same X whose X^T X the default call symmetrizes, without
-    forming X^T X or its symmetric copy.  X is exactly lower triangular in
-    both forms.
-
-    With ``reduce=fn`` the call allocates no output: it returns the list of
-    fn of each sub-block's draws (Sigma, or X with ``factor=True``), called
-    as soon as the sub-block is computed, while it is still in cache.  The
-    draws, and so fn's values, are bit for bit those of the call without
-    ``reduce``.  fn's argument is a buffer that the next sub-block
-    overwrites: an array result that shares its memory is copied, and fn
-    must keep no other reference to it.  Such a call holds the sub-block
-    buffers and fn's values: its peak does not grow with p or count.
+    With ``reduce=fn`` the call returns the list of fn of each sub-block's
+    draws.  fn's argument is a buffer that the next sub-block overwrites: an
+    array result that shares its memory is copied, and fn must keep no other
+    reference to it.  Such a call holds the sub-block buffers and fn's
+    values, about 4 MB: its peak does not grow with p or count.  Without
+    ``reduce`` the call returns the (count, p, p) stack of the draws, filled
+    sub-block by sub-block by a collector passed as ``reduce``, so the stack
+    holds bit for bit what fn would see.
 
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
@@ -282,22 +278,20 @@ def sample_inverse_wishart(
         raise BadDegreesOfFreedom(f"dof {dof} must exceed p - 1 = {p - 1}")
     if count < 1:
         raise ValueError("count must be positive")
+    if reduce is None:
+        stack = _Stack(count)
+        sample_inverse_wishart(scale, dof, count, seed, factor=factor, reduce=stack)
+        return stack.array
     chol = np.linalg.cholesky(sym(scale.inv()))
     df = dof - np.arange(p)
     il, jl = np.tril_indices(p, -1)
     lower, diag = il * p + jl, np.arange(p) * (p + 1)
     sub = min(sub_block_size(p), count, _CHUNK)
     bart = np.zeros((sub, p, p))  # its upper triangle stays zero
-    if not factor or reduce is not None:
-        x = np.empty_like(bart)
-    if not factor:
-        xtx = np.empty_like(bart)
+    x, xtx = np.empty_like(bart), np.empty_like(bart)
     bart_flat = bart.reshape(sub, p * p)
     normals = np.empty((sub, len(lower)))
-    if reduce is None:
-        out = np.empty((count, p, p))
-    else:
-        results = []
+    results = []
     rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
     for block_start in range(0, count, _CHUNK):
         # sub-blocks restart at each block's start, so that calls of at most
@@ -307,22 +301,35 @@ def sample_inverse_wishart(
             m = min(sub, end - start)
             bart_flat[:m, lower] = rng.standard_normal(out=normals[:m])
             bart_flat[:m, diag] = np.sqrt(rng.chisquare(df, size=(m, p)))
-            # the sub-block's draws go to the output or, with reduce, to x:
-            # Sigma overwrites X there once X^T X is formed
-            block = out[start : start + m] if reduce is None else x[:m]
             # T = L B, then X = T^-1
-            t = np.matmul(chol, bart[:m], out=block if factor else x[:m])
-            _tril_inv_inplace(t)
+            block = np.matmul(chol, bart[:m], out=x[:m])
+            _tril_inv_inplace(block)
             if not factor:
-                w = np.matmul(t.swapaxes(1, 2), t, out=xtx[:m])
+                w = np.matmul(block.swapaxes(1, 2), block, out=xtx[:m])
                 np.add(w, w.swapaxes(1, 2), out=block)
                 block *= 0.5
-            if reduce is not None:
-                value = reduce(block)
-                if isinstance(value, np.ndarray) and np.may_share_memory(value, x):
-                    value = value.copy()
-                results.append(value)
-    return out if reduce is None else results
+            value = reduce(block)
+            if isinstance(value, np.ndarray) and np.may_share_memory(value, x):
+                value = value.copy()
+            results.append(value)
+    return results
+
+
+class _Stack:
+    """Collects parts of draws, in order, into one fresh (count, ...) stack,
+    allocated at the first part: the stack form of ``sample_inverse_wishart``,
+    of ``PosteriorDraws.matrices`` and of the rejection sampler's kept draws.
+    ``filled`` counts every row given; rows past count are dropped."""
+
+    def __init__(self, count: int):
+        self.count, self.filled, self.array = count, 0, None
+
+    def __call__(self, part: np.ndarray) -> None:
+        if self.array is None:
+            self.array = np.empty((self.count, *part.shape[1:]))
+        room = max(self.count - self.filled, 0)
+        self.array[self.filled : self.filled + len(part)] = part[:room]
+        self.filled += len(part)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +376,12 @@ class PosteriorSampler:
 
 class PosteriorDraws:
     """Posterior draws, read only by reducing them with ``map``: ``stream(factor,
-    fn)`` yields fn of each part of the Sigma draws or, with ``factor=True``, of
+    fn)`` gives fn of each part of the Sigma draws or, with ``factor=True``, of
     their factors X with Sigma = X^T X, in order and the same on every call."""
 
     def __init__(
         self,
-        stream: Callable[[bool, Callable[[np.ndarray], object]], Iterator],
+        stream: Callable[[bool, Callable[[np.ndarray], object]], Iterable],
         count: int,
         warnings: tuple[str, ...] = (),
     ):
@@ -401,8 +408,8 @@ class PosteriorDraws:
         """fn of each part of the Sigma draws or, with ``factor=True``, of
         their factors X with Sigma = X^T X, in order.
 
-        Exact conjugate draws are drawn afresh from the seed on each call and
-        reduced inside the sampler (``sample_inverse_wishart(..., reduce=fn)``):
+        Exact conjugate draws are drawn afresh from the seed on each call, by
+        one ``sample_inverse_wishart(..., reduce=fn)`` call for all of them:
         fn sees sub-blocks of at most ``sub_block_size(p)`` draws, in a buffer
         that the next sub-block overwrites.  Stored draws give fn slices of at
         most ``_CHUNK`` draws.  So fn must reduce each draw on its own.
@@ -412,18 +419,9 @@ class PosteriorDraws:
     @property
     def matrices(self) -> np.ndarray:
         """A fresh (M, p, p) stack of all draws, filled part by part by ``map``."""
-        stack = None
-        filled = 0
-
-        def put(part):
-            nonlocal stack, filled
-            if stack is None:
-                stack = np.empty((self._count, *part.shape[1:]))
-            stack[filled : filled + len(part)] = part
-            filled += len(part)
-
-        self.map(put)
-        return stack
+        stack = _Stack(self._count)
+        self.map(stack)
+        return stack.array
 
 
 def conjugate_posterior_params(prior: InverseWishartPrior, data: Dataset):
@@ -437,10 +435,7 @@ def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     scale, dof = conjugate_posterior_params(sampler.prior, sampler.data)
 
     def stream(factor, fn):
-        rng = derived_rng(sampler.seed)
-        for start in range(0, count, _CHUNK):
-            k = min(_CHUNK, count - start)
-            yield from sample_inverse_wishart(scale, dof, k, rng, factor=factor, reduce=fn)
+        return sample_inverse_wishart(scale, dof, count, sampler.seed, factor=factor, reduce=fn)
 
     return PosteriorDraws(stream, count)
 
@@ -542,6 +537,8 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
 
     A uniform-vicinity posterior is the likelihood restricted to the vicinity,
     and the likelihood alone is IW(nS, n - p - 1), so every kept draw is exact.
+    The vicinity test reduces each sub-block of proposals in the kernel, and
+    the draws it keeps go straight into one (count, p, p) stack.
     """
     prior, data = sampler.prior, sampler.data
     if data.n <= 2 * data.dim:
@@ -550,21 +547,22 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
         )
     scale = SpdMatrix(data.n * data.sample_cov.entries)
     dof = data.n - data.dim - 1.0
-    kept = []
-    n_kept = proposed = 0
-    while n_kept < count:
-        batch = min(max(count - n_kept, _CHUNK), 4 * _CHUNK)
-        draws = sample_inverse_wishart(scale, dof, batch, derived_seed(sampler.seed, len(kept)))
+    kept = _Stack(count)
+    batches = proposed = 0
+    while kept.filled < count:
+        batch = min(max(count - kept.filled, _CHUNK), 4 * _CHUNK)
+        sample_inverse_wishart(
+            scale, dof, batch, derived_seed(sampler.seed, batches),
+            reduce=lambda part: kept(part[vicinity_mask(part, prior.center, prior.delta)]),
+        )
+        batches += 1
         proposed += batch
-        inside = draws[vicinity_mask(draws, prior.center, prior.delta)]
-        kept.append(inside)
-        n_kept += len(inside)
-        if proposed >= 20 * _CHUNK and n_kept / proposed < 1e-4:
+        if proposed >= 20 * _CHUNK and kept.filled / proposed < 1e-4:
             raise RejectionStarved(
-                f"acceptance rate {n_kept / proposed:.2e} below 1e-4 "
+                f"acceptance rate {kept.filled / proposed:.2e} below 1e-4 "
                 f"after {proposed} proposals"
             )
-    return PosteriorDraws.stored(np.concatenate(kept)[:count])
+    return PosteriorDraws.stored(kept.array)
 
 
 # each sampling method: the one prior kind it samples, and its sampler
@@ -594,20 +592,25 @@ def default_sampler(prior: PriorSpec, data: Dataset, seed: int = 0) -> Posterior
 # Localization helpers
 
 
-def localized_posterior_mass(
-    sampler: PosteriorSampler, delta_bar: float, count: int
-) -> float:
-    """Monte Carlo posterior mass of the vicinity around the ground truth."""
-    if delta_bar < 0:
+def localized_posterior_mass(sampler: PosteriorSampler, delta_bar, count: int):
+    """Monte Carlo posterior mass of the vicinity around the ground truth.
+
+    ``delta_bar`` is one radius, for a float, or a 1-D grid, for an array of
+    the mass at each radius; each part of the draws is tested against every
+    radius in one ``spd.vicinity_mask`` call, and only its counts are kept.
+    """
+    radii = np.asarray(delta_bar, dtype=np.float64)
+    if np.any(radii < 0):
         raise ValueError("delta_bar must be nonnegative")
     if sampler.data.spec is None:
         raise BadDimension("localized mass needs a dataset carrying its model")
-    if delta_bar == 0.0:
+    if radii.ndim == 0 and radii == 0.0:
         return 0.0
     draws = sample_posterior(sampler, count)
     center = sampler.data.spec.model.sigma_star
-    inside = np.concatenate(draws.map(lambda block: vicinity_mask(block, center, delta_bar)))
-    return float(np.mean(inside))
+    inside = sum(draws.map(lambda block: vicinity_mask(block, center, radii).sum(axis=0)))
+    mass = inside / len(draws)
+    return float(mass) if radii.ndim == 0 else mass
 
 
 def localize_draws(

@@ -179,6 +179,9 @@ def model_from_spectrum(
     """
     mu = np.asarray(mu, dtype=np.float64)
     mults = np.asarray(mults, dtype=np.int64)
+    if mu.shape != mults.shape:
+        raise BadGrouping(f"group values {mu.tolist()} and multiplicities {mults.tolist()} "
+                          "differ in length")
     p = int(mults.sum())
     if rotation_seed is None:
         qmat = np.eye(p)

@@ -416,6 +416,13 @@ class TestValidation:
                 ),
                 "config.budget.n",
             ),
+            (
+                base_config(
+                    "bvm-functional", model={"mu": [1.0, 2.0], "mult": [1, 2]},
+                    data={"n": 500}, prior={"kind": "inverse_wishart"}, functional={"kind": "trace"},
+                ),
+                "config.model",
+            ),
         ],
         ids=[
             "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
@@ -425,7 +432,7 @@ class TestValidation:
             "unknown-functional-kind", "contraction-decreasing-grid", "bridge-decreasing-grid",
             "bridge-grid-exhausted", "bridge-zero-radius", "budget-independence-zero-n",
             "budget-functional-zero-n", "budget-projector-negative-n", "budget-infinite-rho",
-            "budget-overflowing-rho", "budget-nan-n",
+            "budget-overflowing-rho", "budget-nan-n", "mu-increasing",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):
@@ -467,6 +474,26 @@ class TestValidation:
         config = write_config(tmp_path, cfg)
         assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
+
+    def test_sigma_csv_with_mult_of_another_sum_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sigma.csv").write_text("3\n2.0,0.1,0.0\n0.1,1.0,0.0\n0.0,0.0,1.0\n")
+        cfg = command_config("functional")
+        cfg["model"] = {"sigma_csv": "sigma.csv", "mult": [2, 2]}
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert ": config.model: multiplicities [2, 2] " in capsys.readouterr().err
+
+    def test_bridge_with_too_few_localized_draws_exits_3(self, tmp_path, capsys):
+        # 17 of the 1000 conjugate draws lie within this radius: too few for
+        # the localized law, which is found before the uniform sampler runs
+        cfg = base_config(
+            "bridge", data={"n": 500}, delta_bar=0.05, monte_carlo={"posterior_draws": 1000}
+        )
+        config = write_config(tmp_path, cfg)
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("RejectionStarved: 17 of 1000 ") and "delta_bar = 0.05" in err
+        assert not (tmp_path / "out").exists()
 
     def test_gaussian_n_below_p_exits_3(self, tmp_path, capsys):
         # two Gaussian samples in dimension 3 have a singular sample covariance
@@ -624,17 +651,18 @@ class TestValidation:
             ("contraction", "delta_grid", [], "config.delta_grid"),
             ("contraction", "delta_grid", [-1.0, 0.5], "config.delta_grid"),
             ("flatness", "delta_grid", [0.2, 0.1], "config.delta_grid"),
+            ("functional", "model", {"mu": [2.0, 1.0], "mult": [1]}, "config.model"),
         ],
         ids=[
             "contraction-no-replications", "contraction-negative-replications",
             "bridge-no-replications", "flatness-no-probes", "coverage-level-0",
             "coverage-level-1", "coverage-level-2", "output_dir-number", "flatness-empty-grid",
             "contraction-empty-grid", "contraction-negative-radius", "flatness-decreasing-grid",
+            "mu-mult-lengths",
         ],
     )
     def test_out_of_domain_field_exits_2(self, tmp_path, capsys, command, field, value, path):
-        # each of these used to run and exit 0, or fail with a traceback after
-        # the run had begun
+        # each of these used to run and exit 0, or fail with a traceback
         cfg = command_config(command)
         if command == "bridge":  # estimating its radius reads the replications
             del cfg["delta_bar"]

@@ -588,6 +588,23 @@ class TestSamplePosterior:
         assert np.all(dev <= 0.5 * self.model.sigma_star.spectral_norm)
         assert np.all(np.linalg.eigvalsh(draws.matrices)[:, 0] > 0)
 
+    def test_uniform_vicinity_peak_is_its_kept_stack(self):
+        # the vicinity test reduces each sub-block of proposals in the kernel
+        # and writes the kept draws into one stack (1.07x); a stack of each
+        # batch's proposals, a list of kept stacks and their concatenation
+        # read 3.0x
+        model = model_from_spectrum([2.0, 1.0], [10, 20], rotation_seed=6)
+        data = sample_dataset(DatasetSpec(model, "gaussian", 5000, seed=7))
+        sampler = default_sampler(UniformVicinityPrior(model.sigma_star, 0.5), data, seed=8)
+        count = 10_000
+        tracemalloc.start()
+        try:
+            sample_posterior(sampler, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * count * 30 * 30 * 8
+
     def test_uniform_vicinity_needs_n_above_2p(self):
         ds = dataset_with_cov(np.eye(3), 6)
         prior = UniformVicinityPrior(SpdMatrix(np.eye(3)), 0.5)

@@ -137,6 +137,8 @@ class TestSpectralDecompose:
     def test_bad_mults(self):
         with pytest.raises(BadGrouping):
             spectral_decompose(SpdMatrix(np.eye(3)), mults=[2, 2])
+        with pytest.raises(BadGrouping):
+            model_from_spectrum([2.0, 1.0], [1])
 
     def test_degenerate_grouping(self):
         with pytest.raises(DegenerateGap):
