@@ -1,7 +1,7 @@
 """Finite-sample Bernstein-von Mises checks for covariance functionals and
 spectral projectors, with conjugate and density-evaluable priors."""
 
-from .spd import SpdMatrix, norms, load_matrix_csv, save_matrix_csv
+from .spd import SpdMatrix, load_matrix_csv, save_matrix_csv
 from .spectral import (
     EigenspaceSelection,
     SpectralModel,
@@ -66,7 +66,6 @@ from .projectors import (
     ChiSquareMixture,
     ProjectorStatistic,
     posterior_projector_statistic,
-    projector_bvm_check,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .datagen import FAMILIES, DatasetSpec, derived_seed, sample_dataset
+from .datagen import FAMILIES, DatasetSpec, derived_seed, estimate_delta_hat, sample_dataset
 from .diagnostics import (
     MIN_CONTRACTION_DRAWS,
     MIN_LAW_SIZE,
@@ -61,12 +61,20 @@ from .posterior import (
     default_sampler,
     sample_posterior,
 )
-from .projectors import posterior_projector_statistic, projector_bvm_check, projector_distances
+from .projectors import ChiSquareMixture, posterior_projector_statistic, projector_distances
 from .spd import SpdMatrix, load_matrix_csv, vicinity_mask
-from .spectral import EigenspaceSelection, model_from_spectrum, spectral_decompose
+from .spectral import (
+    EigenspaceSelection,
+    build_gamma,
+    model_from_spectrum,
+    selection_gap,
+    spectral_decompose,
+)
 
 SCHEMA_VERSION = 1
 _SQRT2 = math.sqrt(2.0)
+# datasets drawn to estimate the concentration radius delta-hat
+_CONCENTRATION_REPLICATIONS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +401,33 @@ def _cmd_bvm_projector(v, model, tag):
     data_spec = DatasetSpec(model, v["data.family"], v["data.n"], v["data.seed"])
     prior = _build_prior(v, model)
     sel = _build_selection(v, model)
-    draws, seed = v["monte_carlo.posterior_draws"], v["seed"]
-    result = projector_bvm_check(model, sel, prior, data_spec, draws, v["l_star_j"], seed=seed)
-    law = result.statistic.law
+    dataset = sample_dataset(data_spec)
+    sampler = default_sampler(prior, dataset, seed=v["seed"])
+    draws = sample_posterior(sampler, v["monte_carlo.posterior_draws"])
+    stat = posterior_projector_statistic(model, sel, draws, dataset)
+    ks = kolmogorov_distance(stat.law, ChiSquareMixture(build_gamma(model, sel)).cdf)
+    # the theorem's precondition on the concentration radius: a violation
+    # warns, and the run proceeds
+    delta_hat = estimate_delta_hat(data_spec, _CONCENTRATION_REPLICATIONS)
+    sigma = model.sigma_star
+    bound = min(selection_gap(model, sel) / (4.0 * sigma.spectral_norm),
+                float(np.sum(sigma.eigenvalues)) / sigma.spectral_norm / model.dim)
+    if delta_hat > bound:
+        warnings.warn(f"concentration radius {delta_hat:.3g} exceeds the theorem bound "
+                      f"{bound:.3g}; proceeding anyway", PreconditionWarning)
+    g_norm = prior.scale.spectral_norm if hasattr(prior, "scale") else 0.0
+    budget = budget_projector(model, sel, data_spec.n, delta_hat, g_norm, v["l_star_j"])
     report = {
         "command": "bvm-projector",
-        "ks": result.ks_distance,
-        "ks_resolution": ks_resolution(len(law)),
-        "budget": result.budget.to_json_dict(),
-        "precondition_ok": result.precondition_ok,
-        "delta_hat": result.delta_hat,
-        "near_degenerate_draws": result.statistic.near_degenerate_count,
-        "eigh_fallback_draws": result.statistic.eigh_fallback_count,
+        "ks": ks,
+        "ks_resolution": ks_resolution(len(stat.law)),
+        "budget": budget.to_json_dict(),
+        "precondition_ok": delta_hat <= bound,
+        "delta_hat": delta_hat,
+        "near_degenerate_draws": stat.near_degenerate_count,
+        "eigh_fallback_draws": stat.eigh_fallback_count,
     }
-    return report, {"statistic.csv": (f"projector_statistic config={tag}", law.values)}
+    return report, {"statistic.csv": (f"projector_statistic config={tag}", stat.law.values)}
 
 
 def _cmd_contraction(v, model, tag):

@@ -102,22 +102,23 @@ def sample_dataset(spec: DatasetSpec, seed_branch: int | None = None) -> Dataset
     return Dataset(spec, spec.n, SpdMatrix(root @ root.T / spec.n))
 
 
-def _quantile_order_stat(values: np.ndarray, level: float) -> float:
-    """Order statistic at ceil(level * R), clamped to the maximum."""
-    r = len(values)
-    k = min(math.ceil(level * r), r)
-    return float(np.sort(values)[k - 1])
-
-
-def estimate_delta_hat(spec: DatasetSpec, replications: int) -> float:
-    """Empirical (1 - 1/n)-quantile of the relative spectral deviation of Sigma-hat."""
+def _concentration_radius(spec: DatasetSpec, replications: int, deviation) -> float:
+    """Empirical (1 - 1/n)-quantile of ``deviation`` of the sample covariance
+    over replicated datasets: the order statistic at ceil((1 - 1/n) R),
+    clamped to the maximum."""
     if replications < 20:
         raise ValueError("need at least 20 replications")
     devs = np.empty(replications)
     for k in range(replications):
-        ds = sample_dataset(spec, seed_branch=k)
-        devs[k] = relative_deviation(ds.sample_cov.entries, spec.model.sigma_star)
-    return _quantile_order_stat(devs, 1.0 - 1.0 / spec.n)
+        devs[k] = deviation(sample_dataset(spec, seed_branch=k).sample_cov.entries)
+    order = min(math.ceil((1.0 - 1.0 / spec.n) * replications), replications)
+    return float(np.sort(devs)[order - 1])
+
+
+def estimate_delta_hat(spec: DatasetSpec, replications: int) -> float:
+    """Empirical (1 - 1/n)-quantile of the relative spectral deviation of Sigma-hat."""
+    sigma = spec.model.sigma_star
+    return _concentration_radius(spec, replications, lambda cov: relative_deviation(cov, sigma))
 
 
 def estimate_delta_tilde(spec: DatasetSpec, functional, replications: int) -> float:
@@ -126,15 +127,8 @@ def estimate_delta_tilde(spec: DatasetSpec, functional, replications: int) -> fl
     The functional supplies the orthonormal limit factor V; the measured
     deviation is the spectral norm of V^T S^-1/2 (cov - S) S^-1/2 V.
     """
-    if replications < 20:
-        raise ValueError("need at least 20 replications")
-    isqrt = spec.model.sigma_star.inv_sqrtm()
-    vmat = functional.limit_v
-    w = isqrt @ vmat  # p x r
+    w = spec.model.sigma_star.inv_sqrtm() @ functional.limit_v  # p x r
     target = spec.model.sigma_star.entries
-    devs = np.empty(replications)
-    for k in range(replications):
-        ds = sample_dataset(spec, seed_branch=k)
-        proj = sym(w.T @ (ds.sample_cov.entries - target) @ w)
-        devs[k] = spectral_norm(proj)
-    return _quantile_order_stat(devs, 1.0 - 1.0 / spec.n)
+    return _concentration_radius(
+        spec, replications, lambda cov: spectral_norm(sym(w.T @ (cov - target) @ w))
+    )

@@ -167,26 +167,6 @@ def estimate_contraction_radius(
     return float(delta_grid[hits[0]])
 
 
-def _flatness_probes(model: SpectralModel, delta: float, probe_count: int, seed: int):
-    """Half boundary probes at the full radius, half interior at half radius.
-
-    Probe directions depend only on the seed, so grids of radii reuse scaled
-    versions of the same probes (nested sup estimates).
-    """
-    rng = derived_rng(seed, 777)
-    p = model.dim
-    snorm = model.sigma_star.spectral_norm
-    center = model.sigma_star.entries
-    for i in range(probe_count):
-        h = sym(rng.standard_normal((p, p)))
-        h /= spectral_norm(h)
-        factor = 1.0 if i % 2 == 0 else 0.5
-        probe = center + factor * delta * snorm * h
-        if np.linalg.eigvalsh(probe)[0] <= 0:
-            continue  # non-SPD probe rejected
-        yield probe
-
-
 def estimate_flatness(
     prior: PriorSpec,
     model: SpectralModel,
@@ -195,20 +175,8 @@ def estimate_flatness(
     seed: int = 0,
 ) -> float:
     """Monte Carlo lower bound of the worst relative prior-density deviation
-    over the vicinity of the ground truth."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if probe_count < 1:
-        raise ValueError("need at least one probe")
-    base = prior.log_density(model.sigma_star.entries)
-    if not np.isfinite(base):
-        raise UndefinedFlatness("prior density vanishes at the ground truth")
-    worst = 0.0
-    for probe in _flatness_probes(model, delta, probe_count, seed):
-        lr = prior.log_density(probe) - base
-        ratio = math.exp(lr) if np.isfinite(lr) else 0.0
-        worst = max(worst, abs(ratio - 1.0))
-    return worst
+    over the vicinity of the ground truth: flatness_profile at one radius."""
+    return float(flatness_profile(prior, model, [delta], probe_count, seed)[0])
 
 
 def flatness_profile(
@@ -218,12 +186,40 @@ def flatness_profile(
     probe_count: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """estimate_flatness at each radius of the grid, with the same probes."""
+    """estimate_flatness at each radius of the grid, with the same probes.
+
+    Half the probes lie on the boundary, at the full radius, and half inside,
+    at half of it; a probe that is not SPD is rejected.  The probe directions
+    depend only on the seed, so they are drawn once and each radius scales
+    the same ones (nested sup estimates).
+    """
+    if any(delta <= 0 for delta in delta_grid):
+        raise ValueError("delta must be positive")
     if probe_count < 1:
         raise ValueError("need at least one probe")
-    return np.array(
-        [estimate_flatness(prior, model, d, probe_count, seed) for d in delta_grid]
-    )
+    base = prior.log_density(model.sigma_star.entries)
+    if not np.isfinite(base):
+        raise UndefinedFlatness("prior density vanishes at the ground truth")
+    rng = derived_rng(seed, 777)
+    p = model.dim
+    directions = []
+    for _ in range(probe_count):
+        h = sym(rng.standard_normal((p, p)))
+        h /= spectral_norm(h)
+        directions.append(h)
+    snorm = model.sigma_star.spectral_norm
+    center = model.sigma_star.entries
+    worst = np.zeros(len(delta_grid))
+    for k, delta in enumerate(delta_grid):
+        for i, h in enumerate(directions):
+            factor = 1.0 if i % 2 == 0 else 0.5
+            probe = center + factor * delta * snorm * h
+            if np.linalg.eigvalsh(probe)[0] <= 0:
+                continue  # non-SPD probe rejected
+            lr = prior.log_density(probe) - base
+            ratio = math.exp(lr) if np.isfinite(lr) else 0.0
+            worst[k] = max(worst[k], abs(ratio - 1.0))
+    return worst
 
 
 # ---------------------------------------------------------------------------

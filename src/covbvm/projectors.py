@@ -18,36 +18,15 @@ projector distances alone load no scipy module.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
-from .datagen import Dataset, DatasetSpec, derived_rng, estimate_delta_hat, sample_dataset
-from .diagnostics import (
-    EmpiricalLaw,
-    ErrorBudget,
-    budget_projector,
-    kolmogorov_distance,
-)
-from .posterior import (
-    PosteriorDraws,
-    PriorSpec,
-    default_sampler,
-    sample_posterior,
-    sub_block_size,
-)
-from .spd import norms
-from .spectral import (
-    EigenspaceSelection,
-    SpectralModel,
-    build_gamma,
-    selection_gap,
-)
-from .errors import PreconditionWarning
+from .datagen import Dataset, derived_rng
+from .diagnostics import EmpiricalLaw
+from .posterior import PosteriorDraws, sub_block_size
+from .spectral import EigenspaceSelection, SpectralModel
 
 _DEGENERATE_GAP_FLOOR = 1e-6
-# datasets drawn to estimate the concentration radius delta-hat
-_CONCENTRATION_REPLICATIONS = 50
 # a draw's subspace refinement stops once its residual is below p times this
 # times the size of the residual's terms, a few roundings of a p-term sum; a
 # draw not there after _MAX_REFINE_STEPS steps goes to eigh
@@ -362,57 +341,3 @@ class ChiSquareMixture:
             term = term - np.exp(a[k - 1] * log_y - y - log_gamma[k])
             total += c[k] * term
         return np.clip(total, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# End-to-end theorem check
-
-
-@dataclasses.dataclass(frozen=True)
-class ProjectorBvmReport:
-    ks_distance: float
-    budget: ErrorBudget
-    precondition_ok: bool
-    delta_hat: float
-    statistic: ProjectorStatistic
-
-
-def projector_bvm_check(
-    model: SpectralModel,
-    sel: EigenspaceSelection,
-    prior: PriorSpec,
-    data_spec: DatasetSpec,
-    count: int,
-    l_star_j: float,
-    seed: int = 0,
-) -> ProjectorBvmReport:
-    """Full pipeline: data, posterior, projector statistic, reference mixture.
-
-    The theorem precondition on the concentration radius is checked and
-    reported; a violation warns but the run proceeds.
-    """
-    dataset = sample_dataset(data_spec)
-    sampler = default_sampler(prior, dataset, seed=seed)
-    draws = sample_posterior(sampler, count)
-    stat = posterior_projector_statistic(model, sel, draws, dataset)
-    mixture = ChiSquareMixture(build_gamma(model, sel))
-    ks = kolmogorov_distance(stat.law, mixture.cdf)
-    delta_hat = estimate_delta_hat(data_spec, _CONCENTRATION_REPLICATIONS)
-    gap = selection_gap(model, sel)
-    model_norms = norms(model.sigma_star)
-    bound = min(
-        gap / (4.0 * model_norms["spectral"]),
-        model_norms["effective_rank"] / model.dim,
-    )
-    precondition_ok = delta_hat <= bound
-    if not precondition_ok:
-        warnings.warn(
-            f"concentration radius {delta_hat:.3g} exceeds the theorem bound "
-            f"{bound:.3g}; proceeding anyway",
-            PreconditionWarning,
-        )
-    g_norm = (
-        prior.scale.spectral_norm if hasattr(prior, "scale") else 0.0
-    )
-    budget = budget_projector(model, sel, data_spec.n, delta_hat, g_norm, l_star_j)
-    return ProjectorBvmReport(ks, budget, precondition_ok, delta_hat, stat)

@@ -1,4 +1,5 @@
-"""Symmetric positive-definite matrix container, norms and CSV I/O."""
+"""Symmetric positive-definite matrix container, spectral norms and vicinities,
+and CSV I/O."""
 
 from __future__ import annotations
 
@@ -89,25 +90,6 @@ class SpdMatrix:
     def inv(self) -> np.ndarray:
         w, v = self._eigh
         return (v / w) @ v.T
-
-
-def norms(m: SpdMatrix) -> dict:
-    """Spectral/Frobenius/nuclear/trace norms plus effective rank and condition.
-
-    Effective rank is trace over spectral norm; condition is the ratio of the
-    extreme eigenvalues.
-    """
-    eigs = m.eigenvalues
-    spectral = float(eigs[-1])
-    trace = float(np.sum(eigs))
-    return {
-        "spectral": spectral,
-        "frobenius": float(np.sqrt(np.sum(eigs**2))),
-        "nuclear": trace,  # eigenvalues are positive
-        "trace": trace,
-        "effective_rank": trace / spectral,
-        "condition": spectral / float(eigs[0]),
-    }
 
 
 def sym(a: np.ndarray) -> np.ndarray:

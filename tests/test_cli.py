@@ -824,6 +824,9 @@ class TestExperimentCommands:
         }
         assert report["command"] == "bvm-projector"
         assert report["ks"] < 0.1
+        assert report["precondition_ok"] is True
+        assert report["budget"]["context"] == "projector"
+        assert report["budget"]["total"] > 0
         # DKW half-width at alpha = 0.05 over the 2000 posterior draws
         assert report["ks_resolution"] == pytest.approx(math.sqrt(math.log(40.0) / 4000.0))
         assert report["near_degenerate_draws"] == 0
@@ -831,6 +834,28 @@ class TestExperimentCommands:
         assert blobs[0] == blobs[1] == blobs[2]
         csv = [(tmp_path / sub / "statistic.csv").read_bytes() for sub in ("a", "b")]
         assert csv[0] == csv[1]
+
+    def test_bvm_projector_warns_when_precondition_fails(self, tmp_path):
+        # at n = 200 the concentration radius exceeds min(gap / (4 ||S||), r(S) / p)
+        cfg = base_config(
+            "bvm-projector",
+            seed=5,
+            model={"mu": [4.0, 1.0], "mult": [1, 2], "rotation_seed": 1},
+            data={"n": 200, "seed": 2},
+            prior={"kind": "inverse_wishart"},
+            selection={"s_minus": 1, "s_plus": 1},
+            l_star_j=1.0,
+            monte_carlo={"posterior_draws": 1000},
+        )
+        with pytest.warns(PreconditionWarning) as caught:
+            report = run(cfg, out_override=str(tmp_path / "out"))
+        assert [str(w.message) for w in caught] == [
+            "concentration radius 0.305 exceeds the theorem bound 0.188; proceeding anyway"
+        ]
+        assert report["precondition_ok"] is False
+        assert report["delta_hat"] == pytest.approx(0.305, abs=5e-4)
+        # the run proceeds to its outputs
+        assert (tmp_path / "out" / "statistic.csv").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = base_config(

@@ -17,7 +17,6 @@ from covbvm import (
     kolmogorov_distance,
     model_from_spectrum,
     posterior_projector_statistic,
-    projector_bvm_check,
     sample_dataset,
     sample_posterior,
 )
@@ -371,22 +370,3 @@ class TestChiSquareMixture:
         mix = ChiSquareMixture([1.0, 2.0])
         assert np.array_equal(mix.sample(1000, seed=4), mix.sample(1000, seed=4))
 
-
-class TestProjectorBvmCheck:
-    def test_end_to_end_report(self):
-        model = model_from_spectrum([4.0, 1.0], [1, 2], rotation_seed=5)
-        spec = DatasetSpec(model, "gaussian", 2000, seed=6)
-        report = projector_bvm_check(
-            model,
-            EigenspaceSelection(1, 1),
-            default_inverse_wishart_prior(3),
-            spec,
-            count=4000,
-            l_star_j=1.0,
-            seed=7,
-        )
-        assert report.ks_distance < 0.1
-        assert report.precondition_ok
-        assert report.budget.total > 0
-        assert report.statistic.near_degenerate_count == 0
-        assert report.budget.context == "projector"

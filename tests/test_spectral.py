@@ -8,7 +8,6 @@ from covbvm import (
     SpdMatrix,
     build_gamma,
     model_from_spectrum,
-    norms,
     selection_gap,
     spectral_decompose,
 )
@@ -89,25 +88,6 @@ class TestSpdMatrix:
         assert relative_deviation(np.diag([4.0, 3.0]), center) == pytest.approx(0.5)
         stack = np.stack([np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), np.diag([4.0, -3.0])])
         assert np.allclose(relative_deviation(stack, center), [0.0, 0.5, 1.0])
-
-
-class TestNorms:
-    def test_diag_2_1_1(self):
-        d = norms(SpdMatrix(np.diag([2.0, 1.0, 1.0])))
-        assert d["spectral"] == pytest.approx(2.0)
-        assert d["trace"] == pytest.approx(4.0)
-        assert d["effective_rank"] == pytest.approx(2.0)
-        assert d["frobenius"] == pytest.approx(np.sqrt(6.0))
-
-    def test_identity(self):
-        d = norms(SpdMatrix(np.eye(7)))
-        assert d["effective_rank"] == pytest.approx(7.0)
-        assert d["condition"] == pytest.approx(1.0)
-
-    def test_diag_4_1(self):
-        d = norms(SpdMatrix(np.diag([4.0, 1.0])))
-        assert d["condition"] == pytest.approx(4.0)
-        assert d["nuclear"] == pytest.approx(5.0)
 
 
 class TestSpectralDecompose:
