@@ -50,7 +50,7 @@ class ConfigError(CovBvmError):
 
 
 class PoorMixing(UserWarning):
-    """Metropolis acceptance rate outside the healthy window after adaptation."""
+    """Metropolis acceptance rate after burn-in below the healthy floor."""
 
 
 class PreconditionWarning(UserWarning):

@@ -18,15 +18,16 @@ about 4 MB at any p and draw count; a call without a reducer passes a
 collector that fills the (count, p, p) stack it returns.
 
 With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
-and its draws are the loop's.  A uniform prior on a vicinity
-(``RejectionInVicinity``) is sampled by exact rejection: draws from the
-flat-likelihood inverse Wishart IW(nS, n - p - 1), which needs n > 2p, are
-kept when they fall inside the vicinity.  The vicinity test is the loop's
-reducer and writes each kept draw straight into one (count, p, p) stack, so
-no stack of proposals is formed.  A density-evaluable ``GenericPrior``
-(``Metropolis``) goes through a random-walk Metropolis chain on the Cholesky
-factor, whose theta -> Sigma map and log-Jacobian are set up once per chain;
-a conjugate prior runs on the chain when its ``log_density`` is wrapped in a
+and its draws are the loop's.  The other two samplers propose from the
+flat-likelihood law IW(nS, n - p - 1), the posterior under a flat prior, which
+needs n > 2p.  A uniform prior on a vicinity (``RejectionInVicinity``) is
+sampled by exact rejection: proposals are kept when they fall inside the
+vicinity.  The vicinity test is the loop's reducer and writes each kept draw
+straight into one (count, p, p) stack, so no stack of proposals is formed.  A
+density-evaluable ``GenericPrior`` (``Metropolis``) goes through an independence
+Metropolis-Hastings chain, which accepts a proposal with probability
+min(1, pi(Sigma') / pi(Sigma)) and so needs only the prior's density; a
+conjugate prior runs on the chain when its ``log_density`` is wrapped in a
 ``GenericPrior``.  The Gaussian-type densities (the likelihood and the
 inverse Wishart prior) factor Sigma = L L^T with LAPACK ``dpotrf`` and find
 each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one triangular
@@ -74,8 +75,6 @@ _CHUNK = 4096
 # batched (p, p) algebra runs on sub-blocks of about this many bytes of
 # matrices, so that each stays in cache
 _SUB_BYTES = 1 << 20
-# the Metropolis chain's initial random-walk step in theta, adapted during burn-in
-_STEP_SCALE = 0.1
 
 
 def sub_block_size(p: int) -> int:
@@ -346,6 +345,10 @@ class Metropolis:
     burn_in: int = 2000
     thin: int = 5
 
+    def __post_init__(self):
+        if self.burn_in < 0 or self.thin < 1:
+            raise ValueError("Metropolis needs burn_in >= 0 and thin >= 1")
+
 
 @dataclasses.dataclass(frozen=True)
 class RejectionInVicinity:
@@ -440,96 +443,68 @@ def _sample_exact(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     return PosteriorDraws(stream, count)
 
 
-class _CholeskyMap:
-    """The chain's coordinates: theta = (log diag L, strict lower triangle of L).
-
-    Sigma = L L^T.  The flat positions of L's diagonal and strict lower
-    triangle (``np.tril_indices`` order) are computed once per chain.
-    """
-
-    def __init__(self, p: int):
-        il, jl = np.tril_indices(p, -1)
-        self.p = p
-        self.diag = np.arange(p) * (p + 1)
-        self.lower = il * p + jl
-        # dSigma = 2^p prod L_ii^{p-i+1} dL and dL_ii = L_ii dtheta_i (i = 1..p),
-        # so log|J| = p log 2 + sum_i (p - i + 2) theta_i
-        self.jac_weights = (p + 1.0) - np.arange(p)
-        self.jac_offset = p * math.log(2.0)
-
-    def theta(self, chol: np.ndarray) -> np.ndarray:
-        flat = chol.reshape(-1)
-        return np.concatenate([np.log(flat[self.diag]), flat[self.lower]])
-
-    def sigma(self, theta: np.ndarray) -> np.ndarray:
-        """A fresh (p, p) Sigma = L L^T."""
-        p = self.p
-        lmat = np.zeros(p * p)
-        lmat[self.lower] = theta[p:]
-        lmat[self.diag] = np.exp(theta[:p])
-        lmat = lmat.reshape(p, p)
-        return lmat @ lmat.T
-
-    def log_jacobian(self, theta: np.ndarray) -> float:
-        """log|det d vech(Sigma) / d theta|."""
-        return self.jac_offset + float(self.jac_weights @ theta[: self.p])
-
-
-def _log_target(theta: np.ndarray, sampler: PosteriorSampler, cmap: _CholeskyMap) -> float:
-    sigma = cmap.sigma(theta)
-    try:
-        lp = sampler.prior.log_density(sigma)
-    except NotPositiveDefinite:
-        return -math.inf
-    if not math.isfinite(lp):
-        return -math.inf
-    return log_likelihood(sigma, sampler.data) + lp + cmap.log_jacobian(theta)
+def _flat_likelihood(data: Dataset) -> tuple[SpdMatrix, float]:
+    """Scale and dof of the flat-likelihood law IW(nS, n - p - 1), the proposal
+    law of the rejection sampler and of the chain; its dof exceeds p - 1 only
+    when n > 2p."""
+    if data.n <= 2 * data.dim:
+        raise BadDegreesOfFreedom(
+            f"the flat-likelihood proposal needs n > 2p; got n={data.n}, p={data.dim}"
+        )
+    return SpdMatrix(data.n * data.sample_cov.entries), data.n - data.dim - 1.0
 
 
 def _sample_metropolis(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
+    """Independence Metropolis-Hastings chain on flat-likelihood proposals.
+
+    The posterior is IW(nS, n - p - 1) reweighted by the prior, so a proposal
+    drawn from that law is accepted with probability min(1, pi(Sigma') /
+    pi(Sigma)): no likelihood, Jacobian or step size enters.  The chain starts
+    at S and makes ``burn_in + count * thin`` steps, one proposal and one prior
+    evaluation each; it keeps every ``thin``-th state after burn-in.  Proposal
+    block k of at most ``_CHUNK`` comes from branch (seed, 1, k), the acceptance
+    uniforms from branch (seed, 2).
+    """
     method: Metropolis = sampler.method
-    p = sampler.data.dim
-    rng = derived_rng(sampler.seed)
-    d = p * (p + 1) // 2
-    cmap = _CholeskyMap(p)
-    theta = cmap.theta(sampler.data.sample_cov.cholesky)
-    cur_lp = _log_target(theta, sampler, cmap)
-    if not math.isfinite(cur_lp):
-        raise RejectionStarved("no valid Metropolis starting point")
-    step = _STEP_SCALE
+    scale, dof = _flat_likelihood(sampler.data)
+    log_density = sampler.prior.log_density
+
+    def log_prior(sigma: np.ndarray) -> float:
+        try:
+            lp = log_density(sigma)
+        except NotPositiveDefinite:
+            return -math.inf
+        return lp if math.isfinite(lp) else -math.inf
+
+    cur = sampler.data.sample_cov.entries.copy()
+    cur_lp = log_prior(cur)
+    if cur_lp == -math.inf:
+        raise RejectionStarved("the prior density at the Metropolis start S is not finite")
     total = method.burn_in + count * method.thin
-    accepted_post = 0
-    proposals_post = 0
-    window_acc = 0
-    window_len = 0
-    mats = np.empty((count, p, p))
-    kept = 0
-    for it in range(total):
-        prop = theta + step * rng.standard_normal(d)
-        prop_lp = _log_target(prop, sampler, cmap)
-        accept = math.log(rng.random()) < prop_lp - cur_lp
-        if accept:
-            theta, cur_lp = prop, prop_lp
-        if it < method.burn_in:
-            window_acc += accept
-            window_len += 1
-            if window_len == 100:
-                rate = window_acc / window_len
-                step *= math.exp(rate - 0.3)  # target 0.3 acceptance, frozen after burn-in
-                window_acc = window_len = 0
-        else:
-            proposals_post += 1
-            accepted_post += accept
-            if (it - method.burn_in + 1) % method.thin == 0 and kept < count:
-                mats[kept] = sym(cmap.sigma(theta))
-                kept += 1
+    uniforms = derived_rng(sampler.seed, 2)
+    mats = np.empty((count, *cur.shape))
+    kept = accepted = 0
+    for k, block_start in enumerate(range(0, total, _CHUNK)):
+        m = min(_CHUNK, total - block_start)
+        proposals = sample_inverse_wishart(scale, dof, m, derived_seed(sampler.seed, 1, k))
+        log_u = np.log(uniforms.random(m)).tolist()
+        for it, prop, lu in zip(range(block_start, block_start + m), proposals, log_u):
+            lp = log_prior(prop)
+            accept = lu < lp - cur_lp
+            if accept:
+                cur, cur_lp = prop, lp
+            if it >= method.burn_in:
+                accepted += accept
+                if (it - method.burn_in + 1) % method.thin == 0:
+                    mats[kept] = cur
+                    kept += 1
     notes = []
-    rate = accepted_post / max(proposals_post, 1)
-    if not 0.05 <= rate <= 0.95:
-        msg = f"Metropolis acceptance rate {rate:.3f} outside [0.05, 0.95]"
+    rate = accepted / (count * method.thin)
+    if rate < 0.05:
+        msg = f"Metropolis acceptance rate {rate:.3f} below 0.05"
         warnings.warn(msg, PoorMixing)
         notes.append(msg)
-    return PosteriorDraws.stored(mats[:kept], tuple(notes))
+    return PosteriorDraws.stored(mats, tuple(notes))
 
 
 def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
@@ -540,13 +515,8 @@ def _sample_rejection(sampler: PosteriorSampler, count: int) -> PosteriorDraws:
     The vicinity test reduces each sub-block of proposals in the kernel, and
     the draws it keeps go straight into one (count, p, p) stack.
     """
-    prior, data = sampler.prior, sampler.data
-    if data.n <= 2 * data.dim:
-        raise BadDegreesOfFreedom(
-            f"the flat-likelihood proposal needs n > 2p; got n={data.n}, p={data.dim}"
-        )
-    scale = SpdMatrix(data.n * data.sample_cov.entries)
-    dof = data.n - data.dim - 1.0
+    prior = sampler.prior
+    scale, dof = _flat_likelihood(sampler.data)
     kept = _Stack(count)
     batches = proposed = 0
     while kept.filled < count:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,14 +30,13 @@ from covbvm import (
     sample_posterior,
     tv_distance_over_statistics,
 )
+from covbvm import posterior
 from covbvm.datagen import derived_rng
-from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite
+from covbvm.errors import BadDegreesOfFreedom, BadDimension, NotPositiveDefinite, PoorMixing
 from covbvm.diagnostics import default_statistic_battery
 from covbvm.posterior import (
     _CHUNK,
     _SUB_BYTES,
-    _CholeskyMap,
-    _log_target,
     _tril_inv_inplace,
     conjugate_posterior_params,
     sub_block_size,
@@ -53,6 +53,20 @@ def dataset_with_cov(cov, n):
     assert n % p == 0
     base = np.tile(np.eye(p), (n // p, 1)) * math.sqrt(p)
     return dataset_from_samples(base @ root)
+
+
+def chain_ess(x) -> float:
+    """Effective sample size of a chain's values, by Geyer's (1992) initial
+    positive sequence of autocorrelation pairs."""
+    x = np.asarray(x, dtype=np.float64) - np.mean(x)
+    n = len(x)
+    spec = np.fft.rfft(x, 2 * n)
+    acov = np.fft.irfft(spec * spec.conj())[:n]
+    rho = acov / acov[0]
+    pairs = rho[0 : n - 1 : 2] + rho[1:n:2]
+    ends = np.flatnonzero(pairs <= 0)
+    k = ends[0] if len(ends) else len(pairs)
+    return n / (2 * pairs[:k].sum() - 1)
 
 
 class TestLogLikelihood:
@@ -605,11 +619,23 @@ class TestSamplePosterior:
             tracemalloc.stop()
         assert peak < 1.25 * count * 30 * 30 * 8
 
-    def test_uniform_vicinity_needs_n_above_2p(self):
+    @pytest.mark.parametrize(
+        "method", [RejectionInVicinity, Metropolis], ids=lambda m: m.__name__
+    )
+    def test_needs_n_above_2p(self, method, monkeypatch):
+        # both draw flat-likelihood proposals IW(nS, n - p - 1), and refuse
+        # n <= 2p before any draw or prior evaluation
+        def never(*args, **kwargs):
+            raise AssertionError("called before n > 2p was checked")
+
+        monkeypatch.setattr(posterior, "sample_inverse_wishart", never)
         ds = dataset_with_cov(np.eye(3), 6)
-        prior = UniformVicinityPrior(SpdMatrix(np.eye(3)), 0.5)
+        prior = {
+            RejectionInVicinity: UniformVicinityPrior(SpdMatrix(np.eye(3)), 0.5),
+            Metropolis: GenericPrior(never),
+        }[method]
         with pytest.raises(BadDegreesOfFreedom):
-            sample_posterior(default_sampler(prior, ds, 0), 10)
+            sample_posterior(PosteriorSampler(prior, ds, method(), 0), 10)
 
     def test_prior_dimension_must_match_data(self):
         # a 2 x 2 vicinity center or conjugate scale on 3-dimensional data
@@ -653,38 +679,11 @@ class TestMetropolisChain:
         model = model_from_spectrum([2.0, 1.0, 0.7], [1, 1, 1], rotation_seed=7)
         self.ds = sample_dataset(DatasetSpec(model, "gaussian", 500, seed=12))
         self.prior = default_inverse_wishart_prior(3)
-        self.theta = np.random.default_rng(5).normal(scale=0.5, size=6)
 
-    def test_log_jacobian_matches_finite_differences(self):
-        p, d, h = 3, 6, 1e-6
-        cmap = _CholeskyMap(p)
-        rows, cols = np.tril_indices(p)
-
-        def vech(theta):
-            return cmap.sigma(theta)[rows, cols]
-
-        jac = np.empty((d, d))
-        for k in range(d):
-            step = np.zeros(d)
-            step[k] = h
-            jac[:, k] = (vech(self.theta + step) - vech(self.theta - step)) / (2 * h)
-        log_abs_det = np.linalg.slogdet(jac)[1]
-        assert cmap.log_jacobian(self.theta) == pytest.approx(log_abs_det, abs=1e-6)
-
-    def test_log_target_is_likelihood_prior_and_jacobian(self):
-        p = 3
-        lmat = np.diag(np.exp(self.theta[:p]))
-        lmat[np.tril_indices(p, -1)] = self.theta[p:]
-        sigma = lmat @ lmat.T
-        # dSigma = 2^p prod_i L_ii^(p - i + 1) dL, and dL_ii = L_ii dtheta_i
-        log_jac = p * math.log(2.0) + sum(
-            (p - i + 1) * math.log(lmat[i - 1, i - 1]) + math.log(lmat[i - 1, i - 1])
-            for i in range(1, p + 1)
-        )
-        expect = log_likelihood(sigma, self.ds) + self.prior.log_density(sigma) + log_jac
-        sampler = PosteriorSampler(GenericPrior(self.prior.log_density), self.ds, Metropolis(), 0)
-        got = _log_target(self.theta, sampler, _CholeskyMap(p))
-        assert got == pytest.approx(expect, rel=1e-12)
+    def test_rejects_bad_burn_in_and_thin(self):
+        for fields in ({"burn_in": -1}, {"thin": 0}):
+            with pytest.raises(ValueError):
+                Metropolis(**fields)
 
     def test_rerun_is_byte_identical(self):
         sampler = PosteriorSampler(
@@ -707,3 +706,42 @@ class TestMetropolisChain:
         assert len(seen) == method.burn_in + 50 * method.thin + 1
         assert all(np.array_equal(kept, copy) for kept, copy in seen)
         assert len({id(kept) for kept, _ in seen}) == len(seen)
+
+    def test_log_det_matches_exact_moments(self):
+        # the chain on the conjugate prior targets IW(Psi, nu), under which
+        # log det Sigma = log det Psi - sum_i log chi2(nu - i), i = 0..p-1,
+        # independent (see TestInverseWishartKernel); each check is two-sided
+        # at alpha = 1e-4, with the standard error of the chain's own ESS
+        scale, dof = conjugate_posterior_params(self.prior, self.ds)
+        half = (dof - np.arange(3)) / 2
+        mean = np.linalg.slogdet(scale.entries)[1] - np.sum(special.digamma(half) + math.log(2))
+        var = np.sum(special.polygamma(1, half))
+        kappa4 = np.sum(special.polygamma(3, half))
+        sampler = PosteriorSampler(GenericPrior(self.prior.log_density), self.ds, Metropolis(), 4)
+        draws = sample_posterior(sampler, 4000)
+        log_det = np.concatenate(draws.map(lambda s: np.linalg.slogdet(s)[1]))
+        z = stats.norm.isf(0.5e-4)
+        assert abs(log_det.mean() - mean) <= z * math.sqrt(var / chain_ess(log_det))
+        # the mean square deviation from the known mean has variance
+        # (kappa4 + 2 var^2) / ESS
+        sq = (log_det - mean) ** 2
+        assert abs(sq.mean() - var) <= z * math.sqrt((kappa4 + 2 * var**2) / chain_ess(sq))
+
+    def test_poor_mixing_only_at_low_acceptance(self):
+        # a prior concentrated at 1.5 S, far from the flat-likelihood
+        # proposals, rejects nearly every step
+        target = 1.5 * self.ds.sample_cov.entries
+
+        def concentrated(sigma):
+            return -0.5 * np.sum((sigma - target) ** 2) / 0.01**2
+
+        stuck = PosteriorSampler(GenericPrior(concentrated), self.ds, Metropolis(), 5)
+        with pytest.warns(PoorMixing, match="below 0.05"):
+            draws = sample_posterior(stuck, 500)
+        assert len(draws.warnings) == 1 and "acceptance rate" in draws.warnings[0]
+        # the conjugate prior is nearly flat, so nearly every proposal is
+        # accepted, and that is no warning
+        healthy = PosteriorSampler(GenericPrior(self.prior.log_density), self.ds, Metropolis(), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PoorMixing)
+            assert sample_posterior(healthy, 500).warnings == ()
