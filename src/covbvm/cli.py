@@ -343,8 +343,10 @@ def config_hash(cfg: dict) -> str:
 
 def _write_csv(path, header: str, *columns) -> None:
     """A header line, then one line per row of the float columns, each value
-    written as its repr and the values of a row joined by commas."""
-    texts = [map(repr, map(float, col)) for col in columns]
+    written as its repr and the values of a row joined by commas.  A
+    memoryview of a float64 column yields its values as Python floats, with
+    no numpy scalar made for each."""
+    texts = [map(repr, memoryview(np.asarray(col, dtype=np.float64))) for col in columns]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in zip(*texts):

@@ -11,11 +11,15 @@ factor of the inverse scale, B the Bartlett factor), so each draw is X^T X
 with X = T^-1, found by 2x2 block recursion down to T's diagonal without
 forming or inverting the full precision, so X is exactly lower triangular.
 The loop works in cache-sized sub-blocks (``sub_block_size``): each takes its
-normals and chi-squares from the stream just before its algebra runs in
-reused buffers, and is handed, as Sigma or with ``factor=True`` as its
-triangular X, to a reducer while it is still in cache.  A reducing call holds
-about 4 MB at any p and draw count; a call without a reducer passes a
-collector that fills the (count, p, p) stack it returns.
+normals and chi-squares from the stream in a fixed order, its algebra runs in
+reused buffers, and it is handed, as Sigma or with ``factor=True`` as its
+triangular X, to a reducer while it is still in cache.  When a call has more
+than one sub-block and the process may run on more than one CPU, one worker
+thread draws the stream up to two sub-blocks ahead of the algebra, in the
+same order, so the draws are bit for bit those of drawing inline; the call
+joins it before it returns or raises.  A reducing call holds about 4 MB at
+any p and draw count; a call without a reducer passes a collector that fills
+the (count, p, p) stack it returns.
 
 With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
 and its draws are the loop's.  The other two samplers propose from the
@@ -56,6 +60,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 import warnings
 from typing import Callable, Iterable
 
@@ -252,11 +258,18 @@ def sample_inverse_wishart(
     starting at the block's start.  Each sub-block takes its strict-lower
     normals (row-major ``np.tril_indices`` order) and then its chi-square
     diagonal from the stream, which fixes the draws for a seed; at p <= 5 a
-    sub-block is the whole block.  Its algebra runs in three reused buffers
-    (B, X and X^T X): X is formed in its buffer and, unless ``factor=True``
-    asks for the lower-triangular X itself, overwritten there by the exactly
-    symmetric Sigma = 0.5 (X^T X + (X^T X)^T).  The sub-block's draws are then
-    handed to ``reduce``, while they are still in cache.
+    sub-block is the whole block.  With more than one sub-block, and more
+    than one CPU that the process may run on, one worker thread draws them
+    into two alternating buffers, up to two sub-blocks ahead, while the
+    calling thread runs the algebra; otherwise the calling thread draws them.
+    An error in the worker's draw is raised on the calling thread, and the
+    worker is joined before the call returns or raises.  The calling thread
+    scatters each sub-block's draws into B and runs its algebra in three
+    reused buffers (B, X and X^T X): X is formed in its buffer and, unless
+    ``factor=True`` asks for the lower-triangular X itself, overwritten there
+    by the exactly symmetric Sigma = 0.5 (X^T X + (X^T X)^T).  The
+    sub-block's draws are then handed to ``reduce``, while they are still in
+    cache.
 
     With ``reduce=fn`` the call returns the list of fn of each sub-block's
     draws.  fn's argument is a buffer that the next sub-block overwrites: an
@@ -270,7 +283,8 @@ def sample_inverse_wishart(
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
     each on one generator continue the stream of one call for their total
-    count.
+    count.  After a call that raised, the generator's state is unspecified:
+    the worker may have drawn ahead of the failure.
     """
     p = scale.dim
     if dof <= p - 1:
@@ -286,20 +300,32 @@ def sample_inverse_wishart(
     il, jl = np.tril_indices(p, -1)
     lower, diag = il * p + jl, np.arange(p) * (p + 1)
     sub = min(sub_block_size(p), count, _CHUNK)
+    # sub-blocks restart at each block's start, so that calls of at most
+    # _CHUNK draws on one generator continue one call's stream
+    sizes = []
+    for block_start in range(0, count, _CHUNK):
+        block = min(_CHUNK, count - block_start)
+        sizes += [min(sub, block - start) for start in range(0, block, sub)]
     bart = np.zeros((sub, p, p))  # its upper triangle stays zero
     x, xtx = np.empty_like(bart), np.empty_like(bart)
     bart_flat = bart.reshape(sub, p * p)
-    normals = np.empty((sub, len(lower)))
-    results = []
+    # sub-block i's normals and chi-square roots go into buffer i % 2
+    normals, roots = np.empty((2, sub, len(lower))), np.empty((2, sub, p))
     rng = seed if isinstance(seed, np.random.Generator) else derived_rng(seed)
-    for block_start in range(0, count, _CHUNK):
-        # sub-blocks restart at each block's start, so that calls of at most
-        # _CHUNK draws on one generator continue one call's stream
-        end = min(block_start + _CHUNK, count)
-        for start in range(block_start, end, sub):
-            m = min(sub, end - start)
-            bart_flat[:m, lower] = rng.standard_normal(out=normals[:m])
-            bart_flat[:m, diag] = np.sqrt(rng.chisquare(df, size=(m, p)))
+
+    def draw(i: int) -> None:
+        m = sizes[i]
+        rng.standard_normal(out=normals[i % 2, :m])
+        np.sqrt(rng.chisquare(df, size=(m, p)), out=roots[i % 2, :m])
+
+    results = []
+    stream = _Stream(draw, len(sizes), threaded=len(sizes) > 1 and _cpu_count() > 1)
+    try:
+        for i, m in enumerate(sizes):
+            stream.take()
+            bart_flat[:m, lower] = normals[i % 2, :m]
+            bart_flat[:m, diag] = roots[i % 2, :m]
+            stream.free()
             # T = L B, then X = T^-1
             block = np.matmul(chol, bart[:m], out=x[:m])
             _tril_inv_inplace(block)
@@ -311,7 +337,69 @@ def sample_inverse_wishart(
             if isinstance(value, np.ndarray) and np.may_share_memory(value, x):
                 value = value.copy()
             results.append(value)
+    finally:
+        stream.close()
     return results
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Stream:
+    """Runs draw(0), ..., draw(count - 1) in order, each filling one of two
+    buffers, for a caller that calls ``take`` before it reads draw i's buffer,
+    ``free`` once it is done with it, and ``close`` at the end.
+
+    Threaded, one worker thread makes the draws, up to two ahead of the
+    caller: ``take`` waits for draw i and raises the worker's error, and
+    ``free`` lets the worker reuse the buffer for draw i + 2.  Otherwise
+    ``take`` makes draw i itself.  ``close`` stops the worker after the draw
+    it is making and joins it.
+    """
+
+    def __init__(self, draw: Callable[[int], None], count: int, threaded: bool):
+        self._draw, self._next = draw, 0
+        self._thread = self._error = None
+        self._stopped = False
+        if threaded:
+            self._free, self._ready = threading.Semaphore(2), threading.Semaphore(0)
+            self._thread = threading.Thread(target=self._work, args=(count,))
+            self._thread.start()
+
+    def _work(self, count: int) -> None:
+        try:
+            for i in range(count):
+                self._free.acquire()
+                if self._stopped:
+                    return
+                self._draw(i)
+                self._ready.release()
+        except BaseException as exc:  # raised again on the calling thread
+            self._error = exc
+            self._ready.release()
+
+    def take(self) -> None:
+        if self._thread is None:
+            self._draw(self._next)
+            self._next += 1
+            return
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def free(self) -> None:
+        if self._thread is not None:
+            self._free.release()
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._stopped = True
+            self._free.release()
+            self._thread.join()
 
 
 class _Stack:

@@ -431,6 +431,47 @@ def test_package_imports_scipy_only_where_used(path):
     assert module_level_imports(path.read_text(), "scipy") == []
 
 
+def thread_imports(source: str) -> list[str]:
+    """``line: module`` for each import of ``threading`` or of
+    ``concurrent`` and its submodules, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend(f"{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] in ("threading", "concurrent"))
+    return sorted(found, key=lambda entry: int(entry.split(":")[0]))
+
+
+def test_thread_import_checker_finds_every_form():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import Future\n"
+        "import os, concurrent.futures as cf\n"
+        "def f():\n"
+        "    from threading import Lock\n"
+        "from . import threading\n"
+        "import threadingx\n"
+    )
+    assert thread_imports(source) == [
+        "1: threading", "2: concurrent.futures", "3: concurrent.futures", "5: threading"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PACKAGE_MODULES if path.name != "posterior.py"],
+    ids=lambda p: p.name,
+)
+def test_threads_only_in_the_kernel(path):
+    # the inverse-Wishart kernel joins its one worker before it returns, so
+    # no thread outlives a call and a forked process inherits none
+    assert thread_imports(path.read_text()) == []
+
+
 # one small config per CLI command that needs no scipy function
 NUMPY_ONLY_COMMANDS = [
     {"command": "bvm-functional", "data": {"n": 400, "seed": 3},

@@ -1,5 +1,7 @@
+import faulthandler
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -403,6 +405,88 @@ class TestInverseWishartKernel:
                 tracemalloc.stop()
         assert max(peaks) < 6 * _SUB_BYTES
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+class DrawFailed(Exception):
+    pass
+
+
+class FailingGenerator(np.random.Generator):
+    """A generator whose third chi-square draw raises ``DrawFailed``."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.chisquares = 0
+
+    def chisquare(self, *args, **kwargs):
+        self.chisquares += 1
+        if self.chisquares == 3:
+            raise DrawFailed("third chi-square draw")
+        return super().chisquare(*args, **kwargs)
+
+
+class TestDrawWorker:
+    """The worker that draws the Bartlett stream ahead of the kernel's algebra:
+    errors on either side reach the caller, and no thread outlives a call."""
+
+    # 500 draws at p = 50 are 10 sub-blocks
+    P, COUNT = 50, 500
+
+    @pytest.fixture(autouse=True)
+    def hang_guard(self):
+        # a lost wake-up between the caller and the worker would hang the
+        # call: end the process then, with the traceback of every thread
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def draw(self, seed, reduce):
+        p = self.P
+        assert self.COUNT > 2 * sub_block_size(p)
+        return sample_inverse_wishart(SpdMatrix(np.eye(p)), 2.0 * p + 10.0, self.COUNT, seed,
+                                      reduce=reduce)
+
+    def test_reducer_error_reaches_caller_after_join(self):
+        before = threading.active_count()
+        calls = []
+
+        def reduce(block):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise DrawFailed("second sub-block")
+
+        with pytest.raises(DrawFailed, match="second sub-block"):
+            self.draw(3, reduce)
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_caller(self):
+        before = threading.active_count()
+        rng = FailingGenerator(3)
+        reduced = []
+        with pytest.raises(DrawFailed, match="third chi-square"):
+            self.draw(rng, lambda block: reduced.append(len(block)))
+        # the third sub-block's draw failed, no draw followed it, and no
+        # sub-block from the third on was reduced
+        assert rng.chisquares == 3 and len(reduced) <= 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("p, count", [(3, _CHUNK), (P, COUNT)], ids=["one", "several"])
+    def test_worker_only_for_several_sub_blocks(self, p, count, monkeypatch):
+        # one sub-block has no draw to overlap, so it starts no thread; more
+        # start one worker when the process may run on more than one CPU
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        sample_inverse_wishart(SpdMatrix(np.eye(p)), 2.0 * p + 10.0, count, seed=3, reduce=len)
+        several = count > sub_block_size(p)
+        assert len(started) == (several and posterior._cpu_count() > 1)
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestDrawStream:
