@@ -14,12 +14,16 @@ The loop works in cache-sized sub-blocks (``sub_block_size``): each takes its
 normals and chi-squares from the stream in a fixed order, its algebra runs in
 reused buffers, and it is handed, as Sigma or with ``factor=True`` as its
 triangular X, to a reducer while it is still in cache.  When a call has more
-than one sub-block and the process may run on more than one CPU, one worker
+than one sub-block and the process may run on more than one CPU, one helper
 thread draws the stream up to two sub-blocks ahead of the algebra, in the
-same order, so the draws are bit for bit those of drawing inline; the call
-joins it before it returns or raises.  A reducing call holds about 4 MB at
-any p and draw count; a call without a reducer passes a collector that fills
-the (count, p, p) stack it returns.
+same order.  While the reducer holds the calling thread, and its last call
+took longer than the last sub-block's algebra, the helper also runs the next
+sub-block's algebra, in the same code; a lighter reducer leaves all of it to
+the calling thread.  So the draws are bit for bit those of one thread, and
+the reducer runs only on the calling thread, which joins the helper before
+it returns or raises.  A reducing call holds about 4 MB at any p and draw
+count, whichever thread runs the algebra; a call without a reducer passes a
+collector that fills the (count, p, p) stack it returns.
 
 With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
 and its draws are the loop's.  The other two samplers propose from the
@@ -62,6 +66,7 @@ import dataclasses
 import math
 import os
 import threading
+import time
 import warnings
 from typing import Callable, Iterable
 
@@ -258,33 +263,42 @@ def sample_inverse_wishart(
     starting at the block's start.  Each sub-block takes its strict-lower
     normals (row-major ``np.tril_indices`` order) and then its chi-square
     diagonal from the stream, which fixes the draws for a seed; at p <= 5 a
-    sub-block is the whole block.  With more than one sub-block, and more
-    than one CPU that the process may run on, one worker thread draws them
-    into two alternating buffers, up to two sub-blocks ahead, while the
-    calling thread runs the algebra; otherwise the calling thread draws them.
-    An error in the worker's draw is raised on the calling thread, and the
-    worker is joined before the call returns or raises.  The calling thread
-    scatters each sub-block's draws into B and runs its algebra in three
-    reused buffers (B, X and X^T X): X is formed in its buffer and, unless
-    ``factor=True`` asks for the lower-triangular X itself, overwritten there
-    by the exactly symmetric Sigma = 0.5 (X^T X + (X^T X)^T).  The
-    sub-block's draws are then handed to ``reduce``, while they are still in
-    cache.
+    sub-block is the whole block.  Each sub-block's draws are scattered into
+    B and its algebra runs in reused buffers (B, X and X^T X): X is formed in
+    its buffer and, unless ``factor=True`` asks for the lower-triangular X
+    itself, overwritten there by the exactly symmetric
+    Sigma = 0.5 (X^T X + (X^T X)^T).  The sub-block's draws are then handed
+    to ``reduce`` on the calling thread, while they are still in cache.
+
+    With more than one sub-block, and more than one CPU that the process may
+    run on, one helper thread draws the stream into two alternating buffers,
+    up to two sub-blocks ahead, while the calling thread runs the algebra;
+    otherwise the calling thread does everything.  While the calling thread
+    is in ``reduce``, and its last ``reduce`` took longer than its last
+    scatter and algebra, the helper also scatters and computes the next
+    sub-block: it forms X in whichever of the X and X^T X buffers the caller
+    is not reducing, and X^T X in B, which it then clears.  The calling
+    thread computes every sub-block the helper has not claimed.  One
+    sub-block's algebra runs at a time, in the same code on either thread, so
+    the draws do not depend on which thread made them, and a reducer lighter
+    than the algebra keeps it all on the calling thread.  An error on the
+    helper is raised on the calling thread, and the helper is joined before
+    the call returns or raises.
 
     With ``reduce=fn`` the call returns the list of fn of each sub-block's
     draws.  fn's argument is a buffer that the next sub-block overwrites: an
     array result that shares its memory is copied, and fn must keep no other
     reference to it.  Such a call holds the sub-block buffers and fn's
-    values, about 4 MB: its peak does not grow with p or count.  Without
-    ``reduce`` the call returns the (count, p, p) stack of the draws, filled
-    sub-block by sub-block by a collector passed as ``reduce``, so the stack
-    holds bit for bit what fn would see.
+    values, about 4 MB: its peak does not grow with p or count.  Without ``reduce`` the call returns the
+    (count, p, p) stack of the draws, filled sub-block by sub-block by a
+    collector passed as ``reduce``, so the stack holds bit for bit what fn
+    would see.
 
     ``seed`` is an int, for the stream ``derived_rng(seed)``, or a generator
     that the call draws from and advances; calls of at most ``_CHUNK`` draws
     each on one generator continue the stream of one call for their total
     count.  After a call that raised, the generator's state is unspecified:
-    the worker may have drawn ahead of the failure.
+    the helper may have drawn ahead of the failure.
     """
     p = scale.dim
     if dof <= p - 1:
@@ -306,8 +320,11 @@ def sample_inverse_wishart(
     for block_start in range(0, count, _CHUNK):
         block = min(_CHUNK, count - block_start)
         sizes += [min(sub, block - start) for start in range(0, block, sub)]
-    bart = np.zeros((sub, p, p))  # its upper triangle stays zero
-    x, xtx = np.empty_like(bart), np.empty_like(bart)
+    bart = np.zeros((sub, p, p))  # its upper triangle is zero at each scatter
+    # the calling thread forms X in the first buffer and X^T X in the second;
+    # the helper forms X in the one the caller is not reducing, and X^T X in
+    # B, whose upper triangle it then clears for the next scatter
+    bufs = (np.empty_like(bart), np.empty_like(bart))
     bart_flat = bart.reshape(sub, p * p)
     # sub-block i's normals and chi-square roots go into buffer i % 2
     normals, roots = np.empty((2, sub, len(lower))), np.empty((2, sub, p))
@@ -318,23 +335,32 @@ def sample_inverse_wishart(
         rng.standard_normal(out=normals[i % 2, :m])
         np.sqrt(rng.chisquare(df, size=(m, p)), out=roots[i % 2, :m])
 
+    def scatter(i: int) -> None:
+        m = sizes[i]
+        bart_flat[:m, lower] = normals[i % 2, :m]
+        bart_flat[:m, diag] = roots[i % 2, :m]
+
+    def algebra(i: int, slot: int, helper: bool) -> np.ndarray:
+        m = sizes[i]
+        # T = L B, then X = T^-1
+        block = np.matmul(chol, bart[:m], out=bufs[slot][:m])
+        _tril_inv_inplace(block)
+        if not factor:
+            w = np.matmul(block.swapaxes(1, 2), block, out=(bart if helper else bufs[1])[:m])
+            np.add(w, w.swapaxes(1, 2), out=block)
+            block *= 0.5
+            if helper:
+                bart[:m] = 0.0
+        return block
+
     results = []
-    stream = _Stream(draw, len(sizes), threaded=len(sizes) > 1 and _cpu_count() > 1)
+    stream = _Stream(
+        draw, scatter, algebra, len(sizes), threaded=len(sizes) > 1 and _cpu_count() > 1
+    )
     try:
-        for i, m in enumerate(sizes):
-            stream.take()
-            bart_flat[:m, lower] = normals[i % 2, :m]
-            bart_flat[:m, diag] = roots[i % 2, :m]
-            stream.free()
-            # T = L B, then X = T^-1
-            block = np.matmul(chol, bart[:m], out=x[:m])
-            _tril_inv_inplace(block)
-            if not factor:
-                w = np.matmul(block.swapaxes(1, 2), block, out=xtx[:m])
-                np.add(w, w.swapaxes(1, 2), out=block)
-                block *= 0.5
-            value = reduce(block)
-            if isinstance(value, np.ndarray) and np.may_share_memory(value, x):
+        for _ in sizes:
+            value = stream.reduce(reduce, stream.take())
+            if isinstance(value, np.ndarray) and any(np.may_share_memory(value, b) for b in bufs):
                 value = value.copy()
             results.append(value)
     finally:
@@ -350,55 +376,123 @@ def _cpu_count() -> int:
 
 
 class _Stream:
-    """Runs draw(0), ..., draw(count - 1) in order, each filling one of two
-    buffers, for a caller that calls ``take`` before it reads draw i's buffer,
-    ``free`` once it is done with it, and ``close`` at the end.
+    """Makes sub-blocks 0, ..., count - 1 in order for a caller that calls
+    ``take`` for each, hands it to ``reduce`` and calls ``close`` at the end.
+    draw(i) fills draw buffer i % 2 from the stream, scatter(i) copies it into
+    B, and algebra(i, slot, helper) runs sub-block i's algebra from B into
+    output buffer ``slot`` of two and returns the block.
 
-    Threaded, one worker thread makes the draws, up to two ahead of the
-    caller: ``take`` waits for draw i and raises the worker's error, and
-    ``free`` lets the worker reuse the buffer for draw i + 2.  Otherwise
-    ``take`` makes draw i itself.  ``close`` stops the worker after the draw
-    it is making and joins it.
+    Unthreaded, ``take`` runs all three on the calling thread, in slot 0.
+    Threaded, one helper thread makes the draws, in order and up to two ahead
+    of the scatters that free their buffers.  ``take`` runs the scatter and
+    the algebra of each sub-block the helper has not claimed, in slot 0,
+    waiting for its draw and raising the helper's error.  While the caller is
+    in ``reduce``, and its last reduce took longer than its last scatter and
+    algebra, the helper claims the next sub-block, once drawn, and runs its
+    scatter and algebra into the slot that is not being reduced; ``take``
+    then waits for it.  So one algebra runs at a time, and B is shared.
+    ``close`` stops the helper after the step it is in and joins it.
     """
 
-    def __init__(self, draw: Callable[[int], None], count: int, threaded: bool):
-        self._draw, self._next = draw, 0
+    def __init__(self, draw, scatter, algebra, count: int, threaded: bool):
+        self._draw, self._scatter, self._algebra = draw, scatter, algebra
+        self._count, self._next, self._slot = count, 0, 0
         self._thread = self._error = None
-        self._stopped = False
         if threaded:
-            self._free, self._ready = threading.Semaphore(2), threading.Semaphore(0)
-            self._thread = threading.Thread(target=self._work, args=(count,))
+            self._cond = threading.Condition()
+            # sub-blocks drawn, scattered, and claimed for their algebra
+            self._drawn = self._freed = self._claimed = 0
+            # the sub-block the helper made last, and its block
+            self._made, self._made_block = -1, None
+            self._help = self._stopped = False
+            self._algebra_s = self._reduce_s = 0.0
+            self._thread = threading.Thread(target=self._work)
             self._thread.start()
 
-    def _work(self, count: int) -> None:
+    def _work(self) -> None:
+        cond = self._cond
         try:
-            for i in range(count):
-                self._free.acquire()
-                if self._stopped:
-                    return
-                self._draw(i)
-                self._ready.release()
+            while True:
+                with cond:
+                    while not self._stopped:
+                        # only the sub-block after the one being reduced
+                        if self._help and self._claimed == self._next < self._drawn:
+                            i, slot = self._claimed, 1 - self._slot
+                            self._claimed += 1
+                            break
+                        if self._drawn < min(self._count, self._freed + 2):
+                            i, slot = self._drawn, None
+                            break
+                        cond.wait()
+                    else:
+                        return
+                if slot is None:
+                    self._draw(i)
+                    with cond:
+                        self._drawn += 1
+                        cond.notify_all()
+                else:
+                    self._scatter(i)
+                    block = self._algebra(i, slot, True)
+                    with cond:
+                        self._freed += 1
+                        self._made, self._made_block = i, block
+                        cond.notify_all()
         except BaseException as exc:  # raised again on the calling thread
-            self._error = exc
-            self._ready.release()
+            with cond:
+                self._error = exc
+                cond.notify_all()
 
-    def take(self) -> None:
-        if self._thread is None:
-            self._draw(self._next)
-            self._next += 1
-            return
-        self._ready.acquire()
+    def _wait(self, ready: Callable[[], bool]) -> None:
+        while not ready() and self._error is None:
+            self._cond.wait()
         if self._error is not None:
             raise self._error
 
-    def free(self) -> None:
-        if self._thread is not None:
-            self._free.release()
+    def take(self) -> np.ndarray:
+        i = self._next
+        self._next += 1
+        if self._thread is None:
+            self._draw(i)
+            self._scatter(i)
+            return self._algebra(i, 0, False)
+        with self._cond:
+            if self._claimed > i:
+                self._wait(lambda: self._made == i)
+                self._slot = 1 - self._slot
+                return self._made_block
+            self._claimed += 1
+            self._wait(lambda: self._drawn > i)
+        start = time.perf_counter()
+        self._scatter(i)
+        with self._cond:
+            self._freed += 1
+            self._cond.notify_all()
+        self._slot = 0
+        block = self._algebra(i, 0, False)
+        self._algebra_s = time.perf_counter() - start
+        return block
+
+    def reduce(self, fn: Callable[[np.ndarray], object], block: np.ndarray) -> object:
+        if self._thread is None:
+            return fn(block)
+        with self._cond:
+            self._help = self._reduce_s > self._algebra_s
+            if self._help:
+                self._cond.notify_all()
+        start = time.perf_counter()
+        try:
+            return fn(block)
+        finally:
+            self._reduce_s = time.perf_counter() - start
+            with self._cond:
+                self._help = False
 
     def close(self) -> None:
         if self._thread is not None:
-            self._stopped = True
-            self._free.release()
+            with self._cond:
+                self._stopped = True
+                self._cond.notify_all()
             self._thread.join()
 
 

@@ -18,6 +18,7 @@ projector distances alone load no scipy module.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
@@ -102,8 +103,9 @@ def _riccati_distances(
     rounding of the discs are a few eps |A|, far below that floor.  Each draw
     stops on its own residual and keeps its Z from then on, so its value does
     not depend on the other matrices of the stack.  Converged draws leave the
-    iteration: the rest are gathered and continue alone, so one slow draw
-    does not keep its whole stack iterating.
+    iteration once at least half of the draws still in it have converged: the
+    rest are gathered and continue alone, so one slow draw does not keep its
+    whole stack iterating.
     """
     k, p, _ = mats.shape
     a = np.matmul(basis.T, mats @ basis)
@@ -135,14 +137,19 @@ def _riccati_distances(
             done = residual <= tol
             f /= l_denom
             z -= f
-            if done.any():
-                kept[rows[done]] = z[done]
-                converged[rows[done]] = True
-                going = ~done
+            # a draw keeps its Z from the step where it first converges; the
+            # live arrays are gathered only once half of them have, since each
+            # gather copies seven arrays and most draws converge together
+            first = done & ~converged[rows]
+            if first.any():
+                kept[rows[first]] = z[first]
+                converged[rows[first]] = True
+                going = ~converged[rows]
                 if not going.any():
                     break
-                rows, z = rows[going], z[going]
-                live = tuple(x[going] for x in live)
+                if 2 * going.sum() <= len(rows):
+                    rows, z = rows[going], z[going]
+                    live = tuple(x[going] for x in live)
         b1 = a11 + a12 @ kept
         b2 = a22 - kept @ a12
         # Gershgorin intervals: the eigenvalues are real
@@ -192,24 +199,38 @@ def projector_distances(
     eigh's.  The two routes agree to about 1e-13 relative; on values near 0
     both carry an absolute error of about eps ||Sigma|| in the eigenspace.
     """
+    return _distances_in(model, sel, dataset)(mats)
+
+
+def _distances_in(
+    model: SpectralModel, sel: EigenspaceSelection, dataset: Dataset
+) -> Callable[[np.ndarray], tuple[np.ndarray, int, int]]:
+    """``projector_distances`` as a function of the stack, with the index set
+    and the sample covariance's eigenbasis made once."""
     index_set = sel.index_set(model)
     p, m = model.dim, len(index_set)
     vecs = dataset.sample_cov._eigh[1][:, ::-1]
     hat_perp = np.delete(vecs, index_set, axis=1)
     basis = np.concatenate([vecs[:, index_set], hat_perp], axis=1)
-    values = np.empty(len(mats))
-    kept = np.empty(len(mats), dtype=bool)
     sub = sub_block_size(p)
-    for start in range(0, len(mats), sub):
-        part = slice(start, start + sub)
-        values[part], kept[part] = _riccati_distances(
-            mats[part], basis, m, int(index_set[0])
-        )
-    fallback = np.flatnonzero(~kept)
-    near_degenerate = 0
-    if fallback.size:
-        values[fallback], near_degenerate = _eigh_distances(mats[fallback], index_set, hat_perp)
-    return 2.0 * dataset.n * values, near_degenerate, int(fallback.size)
+
+    def distances(mats: np.ndarray) -> tuple[np.ndarray, int, int]:
+        values = np.empty(len(mats))
+        kept = np.empty(len(mats), dtype=bool)
+        for start in range(0, len(mats), sub):
+            part = slice(start, start + sub)
+            values[part], kept[part] = _riccati_distances(
+                mats[part], basis, m, int(index_set[0])
+            )
+        fallback = np.flatnonzero(~kept)
+        near_degenerate = 0
+        if fallback.size:
+            values[fallback], near_degenerate = _eigh_distances(
+                mats[fallback], index_set, hat_perp
+            )
+        return 2.0 * dataset.n * values, near_degenerate, int(fallback.size)
+
+    return distances
 
 
 def posterior_projector_statistic(
@@ -219,14 +240,13 @@ def posterior_projector_statistic(
     dataset: Dataset,
 ) -> ProjectorStatistic:
     """Law of the projector distances (see projector_distances) over
-    posterior draws, reduced part by part through ``PosteriorDraws.map``.
+    posterior draws, reduced part by part through ``PosteriorDraws.map``; the
+    index set and the sample covariance's eigenbasis are made once per call.
     Draws whose own spectral gap at the selection boundary falls below 1e-6
     are kept (the index sets are used verbatim) but counted and reported, and
     so are the draws whose distance came from ``numpy.linalg.eigh``.
     """
-    values, near_degenerate, fallbacks = zip(
-        *draws.map(lambda part: projector_distances(model, sel, part, dataset))
-    )
+    values, near_degenerate, fallbacks = zip(*draws.map(_distances_in(model, sel, dataset)))
     return ProjectorStatistic(
         EmpiricalLaw(np.concatenate(values)), sum(near_degenerate), sum(fallbacks)
     )

@@ -1,7 +1,9 @@
 import faulthandler
 import hashlib
 import math
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -426,8 +428,10 @@ class FailingGenerator(np.random.Generator):
 
 
 class TestDrawWorker:
-    """The worker that draws the Bartlett stream ahead of the kernel's algebra:
-    errors on either side reach the caller, and no thread outlives a call."""
+    """The helper thread that draws the Bartlett stream ahead of the kernel's
+    algebra, and runs the algebra while a heavy reducer holds the caller:
+    errors on either side reach the caller, no thread outlives a call, and
+    the draws do not depend on which thread computed them."""
 
     # 500 draws at p = 50 are 10 sub-blocks
     P, COUNT = 50, 500
@@ -487,6 +491,104 @@ class TestDrawWorker:
         several = count > sub_block_size(p)
         assert len(started) == (several and posterior._cpu_count() > 1)
         assert not any(thread.is_alive() for thread in started)
+
+    def record_algebra(self, monkeypatch, p) -> list[bool]:
+        """Whether each sub-block's triangular inverse runs off the calling
+        thread, in order.  ``_cpu_count`` reads 2, so the helper runs even
+        on one CPU."""
+        caller, inverse, off_caller = threading.get_ident(), _tril_inv_inplace, []
+
+        def recorded(t):
+            if t.shape[-1] == p:  # a sub-block, not a step of the recursion
+                off_caller.append(threading.get_ident() != caller)
+            inverse(t)
+
+        monkeypatch.setattr(posterior, "_tril_inv_inplace", recorded)
+        monkeypatch.setattr(posterior, "_cpu_count", lambda: 2)
+        return off_caller
+
+    @pytest.mark.parametrize("factor", [False, True], ids=["sigma", "factor"])
+    @pytest.mark.parametrize("p", [3, 20, 50])
+    def test_bytes_do_not_depend_on_the_thread(self, p, factor, monkeypatch):
+        # a reducer that sleeps takes longer than the algebra, so the helper
+        # computes the sub-block after the one being reduced, in either
+        # buffer; once it stops sleeping the caller computes again.  The
+        # draws are still those of the calling thread alone
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        count = _CHUNK + 117
+        reducers = []
+
+        def reduce(block):
+            reducers.append(threading.get_ident())
+            if len(reducers) <= 8:
+                time.sleep(0.01)
+            return block.copy()
+
+        off_caller = self.record_algebra(monkeypatch, p)
+        got = sample_inverse_wishart(scale, dof, count, seed=17, factor=factor, reduce=reduce)
+        helped = sum(off_caller)
+        monkeypatch.setattr(posterior, "_cpu_count", lambda: 1)
+        ref = sample_inverse_wishart(scale, dof, count, seed=17, factor=factor)
+        assert np.concatenate(got).tobytes() == ref.tobytes()
+        assert set(reducers) == {threading.get_ident()}
+        # at p = 3 the call has two sub-blocks, and while the first is reduced
+        # no reduce has been timed yet, so the caller computes both
+        assert (helped > 0) == (p > 3)
+
+    def test_bytes_when_the_helper_helps_now_and_then(self, monkeypatch):
+        # a reducer that sleeps on some calls only turns the help on and off,
+        # so the two threads alternate over both buffers; a short switch
+        # interval makes a lost update between them likely to show
+        p, count = 20, _CHUNK + 117
+        scale = SpdMatrix(np.eye(p))
+        ref = sample_inverse_wishart(scale, 2.0 * p + 10.0, count, seed=9)
+        off_caller = self.record_algebra(monkeypatch, p)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for pattern in range(1, 4):
+                calls = []
+
+                def reduce(block):
+                    calls.append(len(block))
+                    if len(calls) % (pattern + 1):
+                        time.sleep(0.01)
+                    return block.copy()
+
+                got = sample_inverse_wishart(scale, 2.0 * p + 10.0, count, seed=9, reduce=reduce)
+                assert np.concatenate(got).tobytes() == ref.tobytes(), pattern
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 < sum(off_caller) < len(off_caller)
+
+    def test_light_reducer_leaves_the_algebra_to_the_caller(self, monkeypatch):
+        off_caller = self.record_algebra(monkeypatch, self.P)
+        self.draw(3, len)
+        assert len(off_caller) == 10 and not any(off_caller)
+
+    def test_reducer_error_while_the_helper_computes(self, monkeypatch):
+        before = threading.active_count()
+        caller, inside = threading.get_ident(), threading.Event()
+        inverse = _tril_inv_inplace
+
+        def slow_off_caller(t):
+            if threading.get_ident() != caller and t.shape[-1] == self.P:
+                inside.set()
+                time.sleep(0.1)  # the caller raises meanwhile
+            inverse(t)
+
+        def reduce(block):
+            # the wait makes the reducer heavier than the algebra, and ends
+            # once the helper is inside the next sub-block's inverse
+            if inside.wait(timeout=0.01):
+                raise DrawFailed("while the helper computes")
+
+        monkeypatch.setattr(posterior, "_tril_inv_inplace", slow_off_caller)
+        monkeypatch.setattr(posterior, "_cpu_count", lambda: 2)
+        with pytest.raises(DrawFailed, match="while the helper computes"):
+            self.draw(3, reduce)
+        assert threading.active_count() == before
 
 
 class TestDrawStream:
