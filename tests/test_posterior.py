@@ -1,4 +1,5 @@
 import faulthandler
+import gc
 import hashlib
 import math
 import sys
@@ -213,6 +214,31 @@ def reference_inverse_wishart(scale: SpdMatrix, dof: float, count: int, seed: in
     return np.concatenate(blocks)
 
 
+def recursive_tril_inv(t: np.ndarray) -> None:
+    """Invert a stack of lower-triangular matrices in place by 2x2 block
+    recursion down to 1x1 leaves, slicing each node's views and forming its
+    D^-1 C afresh: the arithmetic that the kernel's planned inverse must
+    reproduce bit for bit where no entry below the diagonal is an exact zero
+    (the plan negates D^-1 C, not the product, which can flip the sign of an
+    exact zero)."""
+    q = t.shape[-1]
+    if q == 1:
+        np.reciprocal(t, out=t)
+        return
+    h = q // 2
+    recursive_tril_inv(t[:, :h, :h])
+    recursive_tril_inv(t[:, h:, h:])
+    np.matmul(t[:, h:, h:] @ t[:, h:, :h], t[:, :h, :h], out=t[:, h:, :h])
+    np.negative(t[:, h:, :h], out=t[:, h:, :h])
+
+
+def triangular_stack(p: int, m: int, seed: int) -> np.ndarray:
+    """m well-conditioned lower-triangular (p, p) matrices."""
+    rng = np.random.default_rng(seed)
+    t = np.tril(rng.standard_normal((m, p, p)), -1) / math.sqrt(p)
+    return t + np.eye(p) * rng.uniform(1.0, 2.0, size=(m, 1, p))
+
+
 def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
     """The kernel's Bartlett algebra, one whole 4096-draw block at a time.
 
@@ -221,24 +247,12 @@ def whole_block_inverse_wishart(scale: SpdMatrix, dof: float, count: int, rng):
     and symmetrizes X^T X, each stage on the whole block.  Cache blocking must
     reproduce these draws bit for bit.
     """
-
-    def tril_inv(t):
-        q = t.shape[-1]
-        if q == 1:
-            np.reciprocal(t, out=t)
-            return
-        h = q // 2
-        tril_inv(t[:, :h, :h])
-        tril_inv(t[:, h:, h:])
-        np.matmul(t[:, h:, h:] @ t[:, h:, :h], t[:, :h, :h], out=t[:, h:, :h])
-        np.negative(t[:, h:, :h], out=t[:, h:, :h])
-
     p = scale.dim
     chol = np.linalg.cholesky(sym(scale.inv()))
     blocks = []
     for start in range(0, count, 4096):
         x = chol @ bartlett_factors(p, dof, min(4096, count - start), rng)
-        tril_inv(x)
+        recursive_tril_inv(x)
         w = x.swapaxes(1, 2) @ x
         blocks.append((w + w.swapaxes(1, 2)) * 0.5)
     return np.concatenate(blocks)
@@ -259,15 +273,42 @@ class TestInverseWishartKernel:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 8, 9, 17, 50])
     def test_triangular_inverse_matches_linalg(self, p):
-        rng = np.random.default_rng(p)
-        t = np.tril(rng.standard_normal((64, p, p)), -1) / math.sqrt(p)
-        t += np.eye(p) * rng.uniform(1.0, 2.0, size=(64, 1, p))
+        t = triangular_stack(p, 64, p)
         ref = np.linalg.inv(t)
         got = t.copy()
         _tril_inv_inplace(got)
         err = np.max(np.abs(got - ref), axis=(1, 2))
         assert np.all(err <= 1e-10 * np.max(np.abs(ref), axis=(1, 2)))
         assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9, 17, 50])
+    def test_planned_inverse_is_the_recursion_bit_for_bit(self, p):
+        for m in (1, 64):
+            ref = triangular_stack(p, m, p)
+            got = ref.copy()
+            recursive_tril_inv(ref)
+            _tril_inv_inplace(got)
+            assert got.tobytes() == ref.tobytes(), m
+            assert np.array_equal(np.triu(got, 1), np.zeros_like(got)), m
+        # with exact zeros below the diagonal only the sign of a zero may move
+        ref = triangular_stack(p, 64, p)
+        ref -= np.tril(ref, -1) * (np.random.default_rng(p).random(ref.shape) < 0.5)
+        got = ref.copy()
+        recursive_tril_inv(ref)
+        _tril_inv_inplace(got)
+        assert np.array_equal(got, ref)
+        # as in the kernel: plans for two sub-block sizes of one buffer share
+        # a scratch, and each runs again on the buffer refilled
+        buf = np.empty((64, p, p))
+        scratch = np.empty(64 * ((p + 1) // 2) * (p // 2))
+        plans = {m: posterior._tril_inv_plan(buf[:m], scratch) for m in (64, 1)}
+        for seed, m in enumerate((64, 1, 64, 1)):
+            ref = triangular_stack(p, m, seed)
+            buf[:m] = ref
+            recursive_tril_inv(ref)
+            posterior._tril_inv_run(plans[m])
+            assert buf[:m].tobytes() == ref.tobytes(), (seed, m)
+            assert np.array_equal(np.triu(buf[:m], 1), np.zeros_like(ref)), (seed, m)
 
     def test_factor_exactly_lower_triangular(self):
         # at a small dof the columns of T = L B are far from diagonally dominant,
@@ -408,6 +449,24 @@ class TestInverseWishartKernel:
         assert max(peaks) < 6 * _SUB_BYTES
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
+    @pytest.mark.parametrize("factor", [False, True], ids=["sigma", "factor"])
+    def test_call_frees_its_buffers_without_the_collector(self, factor):
+        # the sub-block buffers, the inverse's plans and its scratch, about
+        # 4 MB at p = 50, go when the call returns; a reference cycle through
+        # them would hold them until the garbage collector next ran
+        p = 50
+        scale = SpdMatrix(np.eye(p))
+        sample_inverse_wishart(scale, 2.0 * p + 10.0, 500, seed=5, factor=factor, reduce=len)
+        gc.disable()
+        try:
+            tracemalloc.start()
+            sample_inverse_wishart(scale, 2.0 * p + 10.0, 500, seed=5, factor=factor, reduce=len)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 0.01 * _SUB_BYTES
+
 
 class DrawFailed(Exception):
     pass
@@ -492,18 +551,17 @@ class TestDrawWorker:
         assert len(started) == (several and posterior._cpu_count() > 1)
         assert not any(thread.is_alive() for thread in started)
 
-    def record_algebra(self, monkeypatch, p) -> list[bool]:
+    def record_algebra(self, monkeypatch) -> list[bool]:
         """Whether each sub-block's triangular inverse runs off the calling
         thread, in order.  ``_cpu_count`` reads 2, so the helper runs even
         on one CPU."""
-        caller, inverse, off_caller = threading.get_ident(), _tril_inv_inplace, []
+        caller, inverse, off_caller = threading.get_ident(), posterior._tril_inv_run, []
 
-        def recorded(t):
-            if t.shape[-1] == p:  # a sub-block, not a step of the recursion
-                off_caller.append(threading.get_ident() != caller)
-            inverse(t)
+        def recorded(plan):
+            off_caller.append(threading.get_ident() != caller)
+            inverse(plan)
 
-        monkeypatch.setattr(posterior, "_tril_inv_inplace", recorded)
+        monkeypatch.setattr(posterior, "_tril_inv_run", recorded)
         monkeypatch.setattr(posterior, "_cpu_count", lambda: 2)
         return off_caller
 
@@ -525,7 +583,7 @@ class TestDrawWorker:
                 time.sleep(0.01)
             return block.copy()
 
-        off_caller = self.record_algebra(monkeypatch, p)
+        off_caller = self.record_algebra(monkeypatch)
         got = sample_inverse_wishart(scale, dof, count, seed=17, factor=factor, reduce=reduce)
         helped = sum(off_caller)
         monkeypatch.setattr(posterior, "_cpu_count", lambda: 1)
@@ -543,7 +601,7 @@ class TestDrawWorker:
         p, count = 20, _CHUNK + 117
         scale = SpdMatrix(np.eye(p))
         ref = sample_inverse_wishart(scale, 2.0 * p + 10.0, count, seed=9)
-        off_caller = self.record_algebra(monkeypatch, p)
+        off_caller = self.record_algebra(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -563,20 +621,20 @@ class TestDrawWorker:
         assert 0 < sum(off_caller) < len(off_caller)
 
     def test_light_reducer_leaves_the_algebra_to_the_caller(self, monkeypatch):
-        off_caller = self.record_algebra(monkeypatch, self.P)
+        off_caller = self.record_algebra(monkeypatch)
         self.draw(3, len)
         assert len(off_caller) == 10 and not any(off_caller)
 
     def test_reducer_error_while_the_helper_computes(self, monkeypatch):
         before = threading.active_count()
         caller, inside = threading.get_ident(), threading.Event()
-        inverse = _tril_inv_inplace
+        inverse = posterior._tril_inv_run
 
-        def slow_off_caller(t):
-            if threading.get_ident() != caller and t.shape[-1] == self.P:
+        def slow_off_caller(plan):
+            if threading.get_ident() != caller:
                 inside.set()
                 time.sleep(0.1)  # the caller raises meanwhile
-            inverse(t)
+            inverse(plan)
 
         def reduce(block):
             # the wait makes the reducer heavier than the algebra, and ends
@@ -584,7 +642,7 @@ class TestDrawWorker:
             if inside.wait(timeout=0.01):
                 raise DrawFailed("while the helper computes")
 
-        monkeypatch.setattr(posterior, "_tril_inv_inplace", slow_off_caller)
+        monkeypatch.setattr(posterior, "_tril_inv_run", slow_off_caller)
         monkeypatch.setattr(posterior, "_cpu_count", lambda: 2)
         with pytest.raises(DrawFailed, match="while the helper computes"):
             self.draw(3, reduce)
