@@ -345,7 +345,10 @@ class TestInverseWishartKernel:
 
 
     @pytest.mark.parametrize("p", [3, 20, 50])
-    def test_bitwise_equal_to_whole_block_algebra(self, p):
+    def test_bitwise_equal_to_whole_block_algebra(self, p, monkeypatch):
+        # the reference is the BLAS path's algebra, which the kernel runs at
+        # p = 3 only with the elementwise crossover at 0
+        monkeypatch.setattr(posterior, "_ELEMENTWISE_P", 0)
         g = np.random.default_rng(p).standard_normal((p, 2 * p))
         scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
         # a full block and a ragged one; at p = 20 and 50 the sub-blocks are ragged too
@@ -383,11 +386,13 @@ class TestInverseWishartKernel:
         ],
         ids=["3", "5"],
     )
-    def test_small_p_stream_is_pinned(self, p, digest):
+    def test_small_p_stream_is_pinned(self, p, digest, monkeypatch):
         # at p <= 5 a sub-block is the whole 4096-draw block, so these draws
         # are those of a block that takes all its normals, then all its
         # chi-squares; the digests were recorded before the stream was taken
-        # per sub-block
+        # per sub-block, and on the BLAS path, which p = 3 takes only with
+        # the elementwise crossover at 0 (TestElementwiseAlgebra pins its own)
+        monkeypatch.setattr(posterior, "_ELEMENTWISE_P", 0)
         assert sub_block_size(p) >= _CHUNK
         g = np.random.default_rng(p).standard_normal((p, 2 * p))
         scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
@@ -466,6 +471,93 @@ class TestInverseWishartKernel:
             tracemalloc.stop()
             gc.enable()
         assert held < 0.01 * _SUB_BYTES
+
+
+def elementwise_square(x: np.ndarray) -> np.ndarray:
+    """Sigma = X^T X of a stack of lower-triangular X, entry by entry in the
+    kernel's elementwise order: Sigma_rc sums X_lr X_lc over l from max(r, c)
+    up, and its upper triangle is a copy of its lower one."""
+    p = x.shape[-1]
+    sigma = np.empty_like(x)
+    for r in range(p):
+        for c in range(r + 1):
+            s = x[:, r, r] * x[:, r, c]
+            for l in range(r + 1, p):
+                s = s + x[:, l, r] * x[:, l, c]
+            sigma[:, r, c] = sigma[:, c, r] = s
+    return sigma
+
+
+class TestElementwiseAlgebra:
+    """The kernel's algebra at p <= ``_ELEMENTWISE_P``, run entry by entry over
+    the draws of a sub-block, against the BLAS path and LAPACK."""
+
+    # a full block and a ragged one
+    COUNT = _CHUNK + 117
+    # every draw's max |Sigma - Sigma_blas| <= C_EPS * eps * max |Sigma|, and
+    # the same for X; the two paths sum in different orders
+    C_EPS = 8
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def case(self, request):
+        p = request.param
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        draws = {
+            factor: sample_inverse_wishart(scale, dof, self.COUNT, seed=17, factor=factor)
+            for factor in (False, True)
+        }
+        return scale, dof, draws[False], draws[True]
+
+    def test_takes_the_elementwise_path(self, case, monkeypatch):
+        # no plan of the triangular inverse is built, and so no scratch
+        def no_plan(*args):
+            raise AssertionError("plan built")
+
+        monkeypatch.setattr(posterior, "_tril_inv_plan", no_plan)
+        scale, dof, sigma, x = case
+        assert scale.dim <= posterior._ELEMENTWISE_P
+        again = sample_inverse_wishart(scale, dof, self.COUNT, seed=17)
+        assert again.tobytes() == sigma.tobytes()
+
+    def test_factor_lower_and_sigma_symmetric(self, case):
+        _, _, sigma, x = case
+        assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
+        assert np.array_equal(sigma, sigma.swapaxes(1, 2))
+
+    def test_sigma_is_the_factor_squared(self, case):
+        _, _, sigma, x = case
+        assert elementwise_square(x).tobytes() == sigma.tobytes()
+
+    def test_within_rounding_of_the_blas_path(self, case, monkeypatch):
+        scale, dof, sigma, x = case
+        monkeypatch.setattr(posterior, "_ELEMENTWISE_P", 0)
+        eps = np.finfo(float).eps
+        for factor, got in ((False, sigma), (True, x)):
+            ref = sample_inverse_wishart(scale, dof, self.COUNT, seed=17, factor=factor)
+            err = np.max(np.abs(got - ref), axis=(1, 2))
+            assert np.all(err <= self.C_EPS * eps * np.max(np.abs(ref), axis=(1, 2))), factor
+
+    def test_matches_lapack_reference(self, case):
+        scale, dof, sigma, _ = case
+        ref = reference_inverse_wishart(scale, dof, self.COUNT, seed=17)
+        err = np.max(np.abs(sigma - ref), axis=(1, 2))
+        assert np.all(err <= 1e-10 * np.max(np.abs(ref), axis=(1, 2)))
+
+    @pytest.mark.parametrize(
+        "factor, digest",
+        [
+            (False, "20f5c5ca5ad0283dd392fc0439207fa993eb6150e7de4cd5f71c867da9b6390a"),
+            (True, "8b7d39eee916311d597dbc97d2342cdb279fb8bbed99c82742939efc5e0dceab"),
+        ],
+        ids=["sigma", "factor"],
+    )
+    def test_p3_is_pinned(self, factor, digest):
+        p = 3
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        draws = sample_inverse_wishart(scale, dof, self.COUNT, seed=17, factor=factor)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 class DrawFailed(Exception):
@@ -552,16 +644,20 @@ class TestDrawWorker:
         assert not any(thread.is_alive() for thread in started)
 
     def record_algebra(self, monkeypatch) -> list[bool]:
-        """Whether each sub-block's triangular inverse runs off the calling
-        thread, in order.  ``_cpu_count`` reads 2, so the helper runs even
-        on one CPU."""
-        caller, inverse, off_caller = threading.get_ident(), posterior._tril_inv_run, []
+        """Whether each sub-block's triangular inverse, or at p <= 3 its
+        elementwise algebra, runs off the calling thread, in order.
+        ``_cpu_count`` reads 2, so the helper runs even on one CPU."""
+        caller, off_caller = threading.get_ident(), []
 
-        def recorded(plan):
-            off_caller.append(threading.get_ident() != caller)
-            inverse(plan)
+        def recorder(run):
+            def recorded(*args):
+                off_caller.append(threading.get_ident() != caller)
+                run(*args)
 
-        monkeypatch.setattr(posterior, "_tril_inv_run", recorded)
+            return recorded
+
+        for name in ("_tril_inv_run", "_elementwise_algebra"):
+            monkeypatch.setattr(posterior, name, recorder(getattr(posterior, name)))
         monkeypatch.setattr(posterior, "_cpu_count", lambda: 2)
         return off_caller
 
@@ -619,6 +715,30 @@ class TestDrawWorker:
         finally:
             sys.setswitchinterval(interval)
         assert 0 < sum(off_caller) < len(off_caller)
+
+    @pytest.mark.parametrize("factor", [False, True], ids=["sigma", "factor"])
+    @pytest.mark.parametrize("sleeps", [False, True], ids=["light", "sleeps"])
+    def test_helper_runs_the_elementwise_algebra(self, sleeps, factor, monkeypatch):
+        # four p = 3 sub-blocks, one per block: a reducer that sleeps hands
+        # the helper the sub-blocks after the first two, a light one leaves
+        # them all to the caller, and the draws are those of one thread
+        p, count = 3, 3 * _CHUNK + 117
+        assert p <= posterior._ELEMENTWISE_P
+        g = np.random.default_rng(p).standard_normal((p, 2 * p))
+        scale, dof = SpdMatrix(g @ g.T / (2 * p) + np.eye(p)), 2.0 * p + 10.0
+        monkeypatch.setattr(posterior, "_cpu_count", lambda: 1)
+        ref = sample_inverse_wishart(scale, dof, count, seed=17, factor=factor)
+
+        def reduce(block):
+            if sleeps:
+                time.sleep(0.01)
+            return block.copy()
+
+        off_caller = self.record_algebra(monkeypatch)
+        got = sample_inverse_wishart(scale, dof, count, seed=17, factor=factor, reduce=reduce)
+        assert np.concatenate(got).tobytes() == ref.tobytes()
+        assert len(off_caller) == 4
+        assert any(off_caller) == sleeps
 
     def test_light_reducer_leaves_the_algebra_to_the_caller(self, monkeypatch):
         off_caller = self.record_algebra(monkeypatch)
