@@ -48,10 +48,18 @@ conjugate prior runs on the chain when its ``log_density`` is wrapped in a
 inverse Wishart prior) factor Sigma = L L^T with LAPACK ``dpotrf`` and find
 each trace term Tr(Sigma^-1 F F^T) = ||L^-1 F||_F^2 with one triangular
 ``dtrtrs`` solve against a cached Cholesky factor F, called directly because
-numpy's ``linalg`` overhead dwarfs the work on small matrices.  Both come
-from ``scipy.linalg``, which is imported at the first density evaluation, so
-importing the package and sampling the exact and rejection posteriors load
-no scipy module.
+numpy's ``linalg`` overhead dwarfs the work on small matrices
+(``np.linalg.cholesky`` and ``np.linalg.solve`` take about 3.9 and 5.0 us at
+p = 3, against 0.5 and 0.6 us).  Both read only Sigma's lower triangle, are
+called with positional arguments, and their results are read with no numpy
+reduction: the log det is 2 ``math.fsum`` of the diagonal's logs, rounded
+once whatever the order, and the trace term one dot product of the solution
+in its memory order.  A p = 3 prior evaluation, the Metropolis step's cost,
+takes about 3.2 us.  A factor whose log det is not finite (a NaN or inf in
+Sigma, which ``dpotrf`` need not flag) raises ``NotPositiveDefinite``.  Both
+routines come from ``scipy.linalg``, which is imported at the first density
+evaluation, so importing the package and sampling the exact and rejection
+posteriors load no scipy module.
 
 Posterior draws are read only through ``PosteriorDraws.map(fn, factor)``,
 which returns fn of each part of the Sigma draws or, with ``factor=True``, of
@@ -124,26 +132,50 @@ def _bind_lapack() -> None:
 
 
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of a, by LAPACK ``dpotrf``; raises off the SPD cone."""
+    """Lower Cholesky factor of a, by LAPACK ``dpotrf``; raises off the SPD cone.
+
+    Reads only a's lower triangle.  The arguments are positional, which f2py
+    binds faster than keywords: 0.49 against 0.75 us a call at p = 3.  A NaN
+    or inf entry need not stop ``dpotrf`` (OpenBLAS's does not flag NaN), so
+    ``_log_det`` checks the factor too.
+    """
     if _dpotrf is None:
         _bind_lapack()
-    chol, info = _dpotrf(a, lower=1, clean=1)
+    chol, info = _dpotrf(a, 1, 1)  # lower=1, clean=1
     if info > 0:
         raise NotPositiveDefinite(f"{what} needs an SPD matrix")
     return chol
 
 
-def _log_det(chol: np.ndarray) -> float:
-    """log det(L L^T) from the lower Cholesky factor L."""
-    return 2.0 * float(np.log(chol.diagonal()).sum())
+def _log_det(chol: np.ndarray, what: str) -> float:
+    """log det(L L^T) from the lower Cholesky factor L; raises if it is not finite.
+
+    2 * fsum(log L_ii): numpy's logs of the diagonal, summed by ``math.fsum``,
+    which rounds their exact sum once, so no summation order enters.  That
+    takes about 0.6 us at p = 3 and 1.9 us at p = 50, against 1.6 us for
+    numpy's own sum, whose fixed cost dominates at small p; ``math.log`` over
+    the list is as fast at p = 3 but took 4.9 us at p = 50.  A factor with a
+    NaN or inf on its diagonal comes from a matrix that is not SPD.
+    """
+    log_det = 2.0 * math.fsum(np.log(chol.diagonal()).tolist())
+    if not math.isfinite(log_det):
+        raise NotPositiveDefinite(f"{what} needs an SPD matrix")
+    return log_det
 
 
 def _solved_sq_norm(chol: np.ndarray, factor: np.ndarray) -> float:
-    """||L^-1 F||_F^2 for lower-triangular L, by one LAPACK ``dtrtrs`` solve."""
+    """||L^-1 F||_F^2 for lower-triangular L, by one LAPACK ``dtrtrs`` solve.
+
+    Reads only L's lower triangle.  Positional arguments again (0.59 against
+    0.77 us a call at p = 3).  The solution comes back in Fortran order, so
+    it is raveled in memory order, with no copy, and squared by one dot
+    product: 1.1 us at p = 3 and 1.3 us at p = 50, where ``np.vdot`` copies
+    it to C order first and takes 3.8 us.
+    """
     if _dtrtrs is None:
         _bind_lapack()
-    x, _ = _dtrtrs(chol, factor, lower=1)
-    return float(np.vdot(x, x))
+    v = _dtrtrs(chol, factor, 1)[0].ravel(order="K")  # lower=1
+    return float(v @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +202,12 @@ class InverseWishartPrior:
 
     def log_density(self, sigma: np.ndarray) -> float:
         """Unnormalized log density; raises if sigma is not SPD."""
-        chol = _cholesky(sigma, "the inverse Wishart prior")
+        what = "the inverse Wishart prior"
+        chol = _cholesky(sigma, what)
         # Tr(G Sigma^-1) = ||L^-1 G^1/2||_F^2 with G^1/2 the Cholesky factor of G
         trace_term = _solved_sq_norm(chol, self.scale.cholesky)
-        return -0.5 * (2 * self.dim + self.b) * _log_det(chol) - 0.5 * trace_term
+        # len(sigma) is p at a fifth of the cost of the dim property
+        return -0.5 * (2 * len(sigma) + self.b) * _log_det(chol, what) - 0.5 * trace_term
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,13 +252,16 @@ def default_inverse_wishart_prior(p: int) -> InverseWishartPrior:
 
 
 def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
-    """Gaussian pseudo-log-likelihood of a covariance matrix given the data."""
+    """Gaussian pseudo-log-likelihood of a covariance matrix given the data;
+    raises if sigma is not SPD."""
     a = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma)
     n, p = data.n, data.dim
-    chol = _cholesky(a, "the log-likelihood")
+    what = "the log-likelihood"
+    chol = _cholesky(a, what)
     # Tr(Sigma^-1 S) = ||L^-1 C||_F^2 with C the Cholesky factor of S
     trace_term = _solved_sq_norm(chol, data.sample_cov.cholesky)
-    return -0.5 * n * _log_det(chol) - 0.5 * n * trace_term - 0.5 * n * p * math.log(2 * math.pi)
+    log_det = _log_det(chol, what)
+    return -0.5 * n * log_det - 0.5 * n * trace_term - 0.5 * n * p * math.log(2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
