@@ -49,11 +49,13 @@ def kolmogorov_distance(a: EmpiricalLaw, b) -> float:
     """Exact sup distance between CDFs.
 
     b may be another empirical law (two-sample, evaluated at the merged jump
-    points) or a vectorized analytic CDF callable.
+    points) or a vectorized analytic CDF callable.  The merged jump points are
+    taken as each law's own sorted values, one pass per law: a search for
+    sorted keys runs faster than one for the unsorted merged grid, and the
+    maximum is over the same points.
     """
     if isinstance(b, EmpiricalLaw):
-        grid = np.concatenate([a.values, b.values])
-        return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
+        return float(max(np.max(np.abs(a.cdf(x) - b.cdf(x))) for x in (a.values, b.values)))
     x = a.values
     m = len(x)
     f = np.asarray(b(x), dtype=np.float64)

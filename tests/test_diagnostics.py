@@ -85,6 +85,19 @@ class TestKolmogorovDistance:
         ref = scipy.stats.ks_2samp(x, y, method="exact").statistic
         assert ours == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(500, 500), (731, 548), (100, 2000)])
+    def test_matches_the_merged_grid_bit_for_bit(self, sizes):
+        # values on a coarse lattice tie within each sample and across them
+        rng = np.random.default_rng(sum(sizes))
+        x = np.round(rng.standard_normal(sizes[0]), 1)
+        y = np.round(rng.standard_normal(sizes[1]) * 1.2 + 0.1, 1)
+        a, b = EmpiricalLaw(x), EmpiricalLaw(y)
+        assert len(np.unique(x)) < len(x) and len(np.intersect1d(x, y)) > 0
+        grid = np.concatenate([x, y])
+        want = float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
+        assert kolmogorov_distance(a, b) == want
+        assert kolmogorov_distance(b, a) == want
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_scipy_analytic(self, seed):
         x = np.random.default_rng(seed).standard_normal(911)

@@ -472,6 +472,74 @@ def test_threads_only_in_the_kernel(path):
     assert thread_imports(path.read_text()) == []
 
 
+# numpy functions that pyproject.toml's floor, numpy 1.24, does not have, by
+# the module that holds them; ``ndarray.astype`` is old, ``numpy.astype`` new
+NEWER_NUMPY = {
+    "numpy": {"vecdot", "matrix_transpose", "unstack", "concat", "permute_dims", "astype"},
+    "numpy.linalg": {"vecdot"},
+}
+
+
+def newer_numpy_uses(source: str) -> list[str]:
+    """``line: module.name`` for each import or attribute read of a
+    ``NEWER_NUMPY`` function, through whatever name numpy is bound to."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the numpy module it stands for
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    # `import numpy.linalg` binds `numpy`
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and not node.level and (
+            (node.module or "").split(".")[0] == "numpy"
+        ):
+            for alias in node.names:
+                if alias.name in NEWER_NUMPY.get(node.module, ()):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        parts, value = [], node.value
+        while isinstance(value, ast.Attribute):
+            parts.insert(0, value.attr)
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in bound:
+            module = ".".join([bound[value.id], *parts])
+            if node.attr in NEWER_NUMPY.get(module, ()):
+                found.append((node.lineno, f"{module}.{node.attr}"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_numpy_checker_finds_every_form():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg\n"
+        "from numpy import concat, linalg as la\n"
+        "from numpy.linalg import vecdot as vd, norm\n"
+        "x = np.vecdot(a, b) + np.linalg.vecdot(a, b)\n"
+        "y = numpy.linalg.vecdot(a, b), la.vecdot(a, b), np.astype(a, float)\n"
+        "z = a.astype(float), np.linalg.norm(a), np.concatenate(a), la.svd\n"
+        "w = np.unstack(a), np.permute_dims(a, (1, 0)), np.matrix_transpose(a)\n"
+    )
+    assert newer_numpy_uses(source) == [
+        "3: numpy.concat", "4: numpy.linalg.vecdot",
+        "5: numpy.linalg.vecdot", "5: numpy.vecdot",
+        "6: numpy.astype", "6: numpy.linalg.vecdot", "6: numpy.linalg.vecdot",
+        "8: numpy.matrix_transpose", "8: numpy.permute_dims", "8: numpy.unstack",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src/covbvm").glob("*.py")), ids=lambda p: p.name
+)
+def test_package_uses_numpy_of_its_floor(path):
+    # CI's oldest-numpy job runs on numpy 1.24, which lacks these functions
+    assert newer_numpy_uses(path.read_text()) == []
+
+
 # one small config per CLI command that needs no scipy function
 NUMPY_ONLY_COMMANDS = [
     {"command": "bvm-functional", "data": {"n": 400, "seed": 3},
