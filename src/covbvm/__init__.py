@@ -43,7 +43,6 @@ from .diagnostics import (
     budget_posterior_independence,
     budget_projector,
     estimate_contraction_radius,
-    estimate_flatness,
     flatness_profile,
     kolmogorov_distance,
     tv_distance_over_statistics,
@@ -55,7 +54,6 @@ from .functionals import (
     evaluate,
     evaluate_batch,
     linear_functional,
-    linearization_residual,
     log_det_functional,
     rank_adjusted_pipeline,
     reduced_inverse_wishart_prior,

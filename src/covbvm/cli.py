@@ -525,7 +525,7 @@ def _cmd_coverage(v, model, tag):
         else:
             stat = posterior_projector_statistic(model, sel, draws, dataset)
             # the ground truth is scored by the distance that scores the draws
-            truth_stat = projector_distances(model, sel, truth, dataset)[0][0]
+            truth_stat = projector_distances(model, sel, dataset)(truth)[0][0]
             q = float(np.quantile(stat.law.values, level))
             hits += truth_stat <= q
             widths[k] = q

@@ -169,18 +169,6 @@ def estimate_contraction_radius(
     return float(delta_grid[hits[0]])
 
 
-def estimate_flatness(
-    prior: PriorSpec,
-    model: SpectralModel,
-    delta: float,
-    probe_count: int,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo lower bound of the worst relative prior-density deviation
-    over the vicinity of the ground truth: flatness_profile at one radius."""
-    return float(flatness_profile(prior, model, [delta], probe_count, seed)[0])
-
-
 def flatness_profile(
     prior: PriorSpec,
     model: SpectralModel,
@@ -188,7 +176,9 @@ def flatness_profile(
     probe_count: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """estimate_flatness at each radius of the grid, with the same probes.
+    """Monte Carlo lower bound of the worst relative prior-density deviation
+    over the vicinity of the ground truth, at each radius of the grid, with
+    the same probes.
 
     Half the probes lie on the boundary, at the full radius, and half inside,
     at half of it; a probe that is not SPD is rejected.  The probe directions

@@ -26,15 +26,15 @@ _RANK_RTOL = 1e-10
 
 @dataclasses.dataclass(frozen=True)
 class FunctionalSpec:
-    """A functional described by its linearization matrix and spectral factors.
+    """A functional described by the spectral factors of its linearization
+    matrix phi.
 
-    phi is the linearization matrix; u/psi give its thin eigenfactorization,
-    limit_v the eigenvectors of S^1/2 phi S^1/2 around the ground truth S, and
-    the normalizer is sqrt(2) times the Frobenius norm of its eigenvalues.
+    u/psi give phi's thin eigenfactorization, limit_v the eigenvectors of
+    S^1/2 phi S^1/2 around the ground truth S, and the normalizer is sqrt(2)
+    times the Frobenius norm of its eigenvalues.
     """
 
     kind: str
-    phi: np.ndarray
     rank_r: int
     c_phi: float | None
     u: np.ndarray  # (p, r) orthonormal columns
@@ -66,7 +66,7 @@ def _build(model: SpectralModel, kind: str, phi: np.ndarray, c_phi, block=None):
     normalizer = math.sqrt(2.0) * float(np.sqrt(np.sum(d**2)))
     if normalizer <= 0:
         raise DegenerateFunctional("zero statistic normalizer")
-    return FunctionalSpec(kind, phi, len(psi), c_phi, u, psi, v, normalizer, block)
+    return FunctionalSpec(kind, len(psi), c_phi, u, psi, v, normalizer, block)
 
 
 def linear_functional(model: SpectralModel, phi: np.ndarray) -> FunctionalSpec:
@@ -147,20 +147,6 @@ def functional_values(functional: FunctionalSpec, draws: PosteriorDraws) -> np.n
     return np.concatenate(draws.map(lambda x: evaluate_batch(functional, x), factor=True))
 
 
-def linearization_residual(
-    functional: FunctionalSpec, sigma_tilde, model: SpectralModel
-) -> float:
-    """Residual of the first-order expansion around the ground truth."""
-    a = (
-        sigma_tilde.entries
-        if isinstance(sigma_tilde, SpdMatrix)
-        else np.asarray(sigma_tilde)
-    )
-    star = model.sigma_star.entries
-    lin = float(np.sum(functional.phi * (a - star)))
-    return evaluate(functional, a) - evaluate(functional, star) - lin
-
-
 # ---------------------------------------------------------------------------
 # Standardized statistics
 
@@ -209,7 +195,7 @@ def rank_adjusted_pipeline(
     # Tr(Psi Xi) is the linear functional whose thin factors are (I_r, psi);
     # evaluation reads only those and the shared normalizer
     xi_functional = dataclasses.replace(
-        functional, kind="linear", phi=np.diag(functional.psi), u=np.eye(r), cluster_block=None
+        functional, kind="linear", u=np.eye(r), cluster_block=None
     )
     return standardized_statistic(xi_functional, xi_draws, reduced)
 

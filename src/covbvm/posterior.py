@@ -20,17 +20,19 @@ entry, each entry one numpy operation over the draws, with no plan
 time.  Its draws differ from the BLAS path's by rounding only.  The loop
 works in cache-sized sub-blocks (``sub_block_size``): each takes its normals
 and chi-squares from the stream in a fixed order, its algebra runs in reused
-buffers, and it is handed, as Sigma or with ``factor=True`` as its
+buffers (B, which also holds X^T X until it is cleared, and two output
+buffers), and it is handed, as Sigma or with ``factor=True`` as its
 triangular X, to a reducer while it is still in cache.  When a call has more
 than one sub-block and the process may run on more than one CPU, one helper
 thread draws the stream up to two sub-blocks ahead of the algebra, in the
 same order.  While the reducer holds the calling thread, and its last call
 took longer than the last sub-block's algebra, the helper also runs the next
-sub-block's algebra, in the same code; a lighter reducer leaves all of it to
-the calling thread.  So the draws are bit for bit those of one thread, and
-the reducer runs only on the calling thread, which joins the helper before
-it returns or raises.  A reducing call holds about 4 MB at any p and draw
-count, whichever thread runs the algebra; a call without a reducer passes a
+sub-block's algebra, in the same code and buffer layout, into the output
+buffer not being reduced; a lighter reducer leaves all of it to the calling
+thread.  So the draws are bit for bit those of one thread, and the reducer
+runs only on the calling thread, which joins the helper before it returns
+or raises.  A reducing call holds about 4 MB at any p and draw count,
+whichever thread runs the algebra; a call without a reducer passes a
 collector that fills the (count, p, p) stack it returns.
 
 With an inverse Wishart prior (``ExactConjugate``) the posterior is conjugate
@@ -268,36 +270,22 @@ def log_likelihood(sigma: SpdMatrix | np.ndarray, data: Dataset) -> float:
 # Inverse Wishart sampling (Bartlett factor, triangular inverse)
 
 
-def _tril_inv_inplace(t: np.ndarray) -> None:
-    """Invert a C-contiguous (count, p, p) stack of lower-triangular matrices
-    in place.
+def _tril_inv_plan(t: np.ndarray, scratch: np.ndarray) -> tuple:
+    """The inverse of a C-contiguous (count, p, p) stack t of lower-triangular
+    matrices, laid out as views, for ``_tril_inv_run`` to invert t's entries
+    in place each time t is refilled.
 
     2x2 block recursion down to the diagonal: the inverse of [[A, 0], [C, D]]
     is [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  A and D are inverted in their own
     views first, then C is overwritten by -(D^-1 C) A^-1; a 1x1 block is its
     reciprocal.  The upper blocks are never written, so the inverse is exactly
-    lower triangular.
-
-    The recursion is laid out once as a plan of views (``_tril_inv_plan``),
-    whose run (``_tril_inv_run``) slices and allocates nothing.  At p = 50 the
-    recursion made about 150 numpy calls, whose fixed cost was about half of
-    the inverse of one 52-draw sub-block; a plan runs in 0.6-0.7 of the
+    lower triangular.  The leaves are t's diagonal, one strided view.  Each
+    internal node, in post-order, is its views (D^-1, C, A^-1) and a
+    C-contiguous view of the flat ``scratch`` shaped like C, to hold D^-1 C.
+    ``scratch`` has at least count * ceil(p/2) * floor(p/2) entries, the
+    root's C; the nodes share it, and so may plans that never run at the same
     time.  The kernel keeps a plan for each of its output buffers and
-    sub-block sizes; this builds one for t and runs it once.
-    """
-    p = t.shape[-1]
-    _tril_inv_run(_tril_inv_plan(t, np.empty(len(t) * ((p + 1) // 2) * (p // 2))))
-
-
-def _tril_inv_plan(t: np.ndarray, scratch: np.ndarray) -> tuple:
-    """The recursion of ``_tril_inv_inplace`` on t as views, for
-    ``_tril_inv_run`` to invert t's entries each time t is refilled.
-
-    The leaves are t's diagonal, one strided view.  Each internal node, in
-    post-order, is its views (D^-1, C, A^-1) and a C-contiguous view of the
-    flat ``scratch`` shaped like C, to hold D^-1 C.  ``scratch`` has at least
-    count * ceil(p/2) * floor(p/2) entries, the root's C; the nodes share it,
-    and so may plans that never run at the same time.
+    sub-block sizes.
     """
     if not t.flags.c_contiguous:
         raise ValueError("the triangular inverse needs a C-contiguous stack")
@@ -326,7 +314,11 @@ def _post_order(lo: int, hi: int) -> Iterable[tuple[int, int, int]]:
 
 def _tril_inv_run(plan: tuple) -> None:
     """Invert in place the stack of lower-triangular matrices that
-    ``_tril_inv_plan`` planned.
+    ``_tril_inv_plan`` planned: the leaves' reciprocals, then each node's
+    C = -(D^-1 C) A^-1, children before parents, slicing and allocating
+    nothing.  At p = 50 the plain recursion made about 150 numpy calls, whose
+    fixed cost was about half of the inverse of one 52-draw sub-block; a plan
+    runs in 0.6-0.7 of the time.
 
     Each product has the shape, the strides and the operand order of the
     plain recursion's.  The sign goes on D^-1 C in the scratch, where
@@ -427,17 +419,18 @@ def sample_inverse_wishart(
     normals (row-major ``np.tril_indices`` order) and then its chi-square
     diagonal from the stream, which fixes the draws for a seed; at p <= 5 a
     sub-block is the whole block.  Each sub-block's draws are scattered into
-    B and its algebra runs in reused buffers (B, X and X^T X).  For p > 3, T
-    is formed in X's buffer and inverted there, by the plan
-    (``_tril_inv_plan``) that the call keeps for that buffer and sub-block
-    size, and X is, unless ``factor=True`` asks for the lower-triangular X
-    itself, overwritten there by the exactly symmetric
-    Sigma = 0.5 (X^T X + (X^T X)^T).  Those are a few BLAS calls per draw.
-    For p <= ``_ELEMENTWISE_P`` = 3 their fixed cost outweighs the
-    arithmetic, and ``_elementwise_algebra`` forms T and X in B and writes X
-    or Sigma to the output buffer, each entry one numpy operation over the
-    sub-block's draws, in the summation order its docstring states; it
-    builds no plan.  At p = 3 a call of 4096 draws took 1.38 ms on the Sigma
+    B and its algebra runs in reused buffers: B and two output buffers, one
+    layout for whichever thread runs it.  For p > 3, T is formed in an output
+    buffer and inverted there, by the plan (``_tril_inv_plan``) that the call
+    keeps for that buffer and sub-block size, and X is, unless
+    ``factor=True`` asks for the lower-triangular X itself, overwritten there
+    by the exactly symmetric Sigma = 0.5 (W + W^T), with W = X^T X formed in
+    B, which is then cleared for the next scatter.  Those are a few BLAS
+    calls per draw.  For p <= ``_ELEMENTWISE_P`` = 3 their fixed cost
+    outweighs the arithmetic, and ``_elementwise_algebra`` forms T and X in
+    B and writes X or Sigma to the output buffer, each entry one numpy
+    operation over the sub-block's draws, in the summation order its
+    docstring states; it builds no plan.  At p = 3 a call of 4096 draws took 1.38 ms on the Sigma
     route and 1.23 ms on the factor route, against 2.37 and 1.51 ms with
     per-draw BLAS; it makes O(p^3) numpy calls, so from p of about 6 to 8 up
     per-draw BLAS is the faster, and the two paths are kept on purpose.  The
@@ -450,14 +443,14 @@ def sample_inverse_wishart(
     otherwise the calling thread does everything.  While the calling thread
     is in ``reduce``, and its last ``reduce`` took longer than its last
     scatter and algebra, the helper also scatters and computes the next
-    sub-block: it writes the draws to whichever of the X and X^T X buffers
-    the caller is not reducing, and for p > 3 forms X^T X in B, which it then
-    clears.  The calling thread computes every sub-block the helper has not
-    claimed.  One sub-block's algebra runs at a time, in the same code on
-    either thread, so the draws do not depend on which thread made them, and
-    a reducer lighter than the algebra keeps it all on the calling thread.  An error on the
-    helper is raised on the calling thread, and the helper is joined before
-    the call returns or raises.
+    sub-block, into whichever of the two output buffers the caller is not
+    reducing.  The calling thread computes every sub-block the helper has not
+    claimed, into the first.  One sub-block's algebra runs at a time, in the
+    same code and buffers on either thread, so the draws do not depend on
+    which thread made them, and a reducer lighter than the algebra keeps it
+    all on the calling thread.  An error on the helper is raised on the
+    calling thread, and the helper is joined before the call returns or
+    raises.
 
     With ``reduce=fn`` the call returns the list of fn of each sub-block's
     draws.  fn's argument is a buffer that the next sub-block overwrites: an
@@ -495,10 +488,9 @@ def sample_inverse_wishart(
         block = min(_CHUNK, count - block_start)
         sizes += [min(sub, block - start) for start in range(0, block, sub)]
     bart = np.zeros((sub, p, p))  # its upper triangle is zero at each scatter
-    # on the BLAS path the calling thread forms X in the first buffer and
-    # X^T X in the second; the helper forms X in the one the caller is not
-    # reducing, and X^T X in B, whose upper triangle it then clears for the
-    # next scatter.  The elementwise path writes only B's lower triangle
+    # either thread forms X in the output buffer of its slot; on the BLAS
+    # path it forms X^T X in B, which it then clears for the next scatter.
+    # The elementwise path writes only B's lower triangle
     bufs = (np.empty_like(bart), np.empty_like(bart))
     bart_flat = bart.reshape(sub, p * p)
     # sub-block i's normals and chi-square roots go into buffer i % 2
@@ -522,7 +514,7 @@ def sample_inverse_wishart(
         bart_flat[:m, lower] = normals[i % 2, :m]
         bart_flat[:m, diag] = roots[i % 2, :m]
 
-    def algebra(i: int, slot: int, helper: bool) -> np.ndarray:
+    def algebra(i: int, slot: int) -> np.ndarray:
         m = sizes[i]
         if elementwise:
             block = bufs[slot][:m]
@@ -535,11 +527,10 @@ def sample_inverse_wishart(
             plan = plans[slot, m] = _tril_inv_plan(block, scratch)
         _tril_inv_run(plan)
         if not factor:
-            w = np.matmul(block.swapaxes(1, 2), block, out=(bart if helper else bufs[1])[:m])
+            w = np.matmul(block.swapaxes(1, 2), block, out=bart[:m])
             np.add(w, w.swapaxes(1, 2), out=block)
             block *= 0.5
-            if helper:
-                bart[:m] = 0.0
+            bart[:m] = 0.0
         return block
 
     results = []
@@ -568,8 +559,9 @@ class _Stream:
     """Makes sub-blocks 0, ..., count - 1 in order for a caller that calls
     ``take`` for each, hands it to ``reduce`` and calls ``close`` at the end.
     draw(i) fills draw buffer i % 2 from the stream, scatter(i) copies it into
-    B, and algebra(i, slot, helper) runs sub-block i's algebra from B into
-    output buffer ``slot`` of two and returns the block.
+    B, and algebra(i, slot) runs sub-block i's algebra from B into output
+    buffer ``slot`` of two and returns the block, in the same code on either
+    thread.
 
     Unthreaded, ``take`` runs all three on the calling thread, in slot 0.
     Threaded, one helper thread makes the draws, in order and up to two ahead
@@ -622,7 +614,7 @@ class _Stream:
                         cond.notify_all()
                 else:
                     self._scatter(i)
-                    block = self._algebra(i, slot, True)
+                    block = self._algebra(i, slot)
                     with cond:
                         self._freed += 1
                         self._made, self._made_block = i, block
@@ -644,7 +636,7 @@ class _Stream:
         if self._thread is None:
             self._draw(i)
             self._scatter(i)
-            return self._algebra(i, 0, False)
+            return self._algebra(i, 0)
         with self._cond:
             if self._claimed > i:
                 self._wait(lambda: self._made == i)
@@ -658,7 +650,7 @@ class _Stream:
             self._freed += 1
             self._cond.notify_all()
         self._slot = 0
-        block = self._algebra(i, 0, False)
+        block = self._algebra(i, 0)
         self._algebra_s = time.perf_counter() - start
         return block
 

@@ -176,13 +176,14 @@ def _riccati_distances(
 
 
 def projector_distances(
-    model: SpectralModel, sel: EigenspaceSelection, mats: np.ndarray, dataset: Dataset
-) -> tuple[np.ndarray, int, int]:
-    """n * squared Frobenius distance between the projector of each matrix in a
-    (k, p, p) stack and the sample covariance's, over the true index sets; the
-    number of matrices whose own spectral gap at the selection boundary falls
-    below 1e-6; and the number of matrices whose distance came from a full
-    eigendecomposition.
+    model: SpectralModel, sel: EigenspaceSelection, dataset: Dataset
+) -> Callable[[np.ndarray], tuple[np.ndarray, int, int]]:
+    """The function that maps a (k, p, p) stack of matrices to: n * squared
+    Frobenius distance between the projector of each matrix and the sample
+    covariance's, over the true index sets; the number of matrices whose own
+    spectral gap at the selection boundary falls below 1e-6; and the number
+    of matrices whose distance came from a full eigendecomposition.  The
+    index set and the sample covariance's eigenbasis are made once, here.
 
     With V (p, m) the orthonormal eigenvector columns of a matrix, and V-hat
     and V-hat_perp the selected and the remaining eigenvector columns of the
@@ -199,14 +200,6 @@ def projector_distances(
     eigh's.  The two routes agree to about 1e-13 relative; on values near 0
     both carry an absolute error of about eps ||Sigma|| in the eigenspace.
     """
-    return _distances_in(model, sel, dataset)(mats)
-
-
-def _distances_in(
-    model: SpectralModel, sel: EigenspaceSelection, dataset: Dataset
-) -> Callable[[np.ndarray], tuple[np.ndarray, int, int]]:
-    """``projector_distances`` as a function of the stack, with the index set
-    and the sample covariance's eigenbasis made once."""
     index_set = sel.index_set(model)
     p, m = model.dim, len(index_set)
     vecs = dataset.sample_cov._eigh[1][:, ::-1]
@@ -246,7 +239,7 @@ def posterior_projector_statistic(
     are kept (the index sets are used verbatim) but counted and reported, and
     so are the draws whose distance came from ``numpy.linalg.eigh``.
     """
-    values, near_degenerate, fallbacks = zip(*draws.map(_distances_in(model, sel, dataset)))
+    values, near_degenerate, fallbacks = zip(*draws.map(projector_distances(model, sel, dataset)))
     return ProjectorStatistic(
         EmpiricalLaw(np.concatenate(values)), sum(near_degenerate), sum(fallbacks)
     )
@@ -279,14 +272,6 @@ class ChiSquareMixture:
             raise ValueError("mixture weights must be a nonempty vector of finite positive numbers")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def mean(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
-    def variance(self) -> float:
-        return 2.0 * float(np.sum(self.weights**2))
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         rng = derived_rng(seed, 4242)

@@ -45,8 +45,8 @@ class SpdMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotPositiveDefinite(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise NotPositiveDefinite(f"expected a nonempty square matrix, got shape {a.shape}")
         # eigvalsh reads NaN without raising, and no comparison with NaN holds
         if not np.isfinite(a).all():
             i, j = np.argwhere(~np.isfinite(a))[0]
@@ -55,7 +55,7 @@ class SpdMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         eigs = np.linalg.eigvalsh(a)
-        snorm = float(np.max(np.abs(eigs))) if a.size else 0.0
+        snorm = float(np.max(np.abs(eigs)))
         if snorm == 0.0 or eigs[0] <= _PD_RTOL * snorm:
             raise NotPositiveDefinite(
                 f"smallest eigenvalue {eigs[0]:.3e} not positive "

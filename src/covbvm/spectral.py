@@ -182,6 +182,8 @@ def model_from_spectrum(
     if mu.shape != mults.shape:
         raise BadGrouping(f"group values {mu.tolist()} and multiplicities {mults.tolist()} "
                           "differ in length")
+    if mu.size == 0:
+        raise BadGrouping("the spectrum has no groups")
     p = int(mults.sum())
     if rotation_seed is None:
         qmat = np.eye(p)

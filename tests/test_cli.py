@@ -423,6 +423,13 @@ class TestValidation:
                 ),
                 "config.model",
             ),
+            (
+                base_config(
+                    "bvm-functional", model={"mu": [], "mult": []},
+                    data={"n": 500}, prior={"kind": "inverse_wishart"}, functional={"kind": "trace"},
+                ),
+                "config.model",
+            ),
         ],
         ids=[
             "selection-no-s_minus", "selection-no-s_plus", "budget-no-rho",
@@ -432,7 +439,7 @@ class TestValidation:
             "unknown-functional-kind", "contraction-decreasing-grid", "bridge-decreasing-grid",
             "bridge-grid-exhausted", "bridge-zero-radius", "budget-independence-zero-n",
             "budget-functional-zero-n", "budget-projector-negative-n", "budget-infinite-rho",
-            "budget-overflowing-rho", "budget-nan-n", "mu-increasing",
+            "budget-overflowing-rho", "budget-nan-n", "mu-increasing", "mu-empty",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, path):

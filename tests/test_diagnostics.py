@@ -19,7 +19,6 @@ from covbvm import (
     default_inverse_wishart_prior,
     default_sampler,
     estimate_contraction_radius,
-    estimate_flatness,
     flatness_profile,
     kolmogorov_distance,
     localize_draws,
@@ -226,22 +225,22 @@ class TestFlatness:
 
     def test_uniform_prior_is_flat_inside_support(self):
         prior = UniformVicinityPrior(self.model.sigma_star, 0.5)
-        assert estimate_flatness(prior, self.model, 0.2, 200) == 0.0
+        assert flatness_profile(prior, self.model, [0.2], 200)[0] == 0.0
 
     def test_uniform_prior_saturates_outside_support(self):
         prior = UniformVicinityPrior(self.model.sigma_star, 0.1)
-        assert estimate_flatness(prior, self.model, 0.4, 200) == 1.0
+        assert flatness_profile(prior, self.model, [0.4], 200)[0] == 1.0
 
     def test_undefined_off_support(self):
         far = model_from_spectrum([10.0], [3])
         prior = UniformVicinityPrior(far.sigma_star, 0.05)
         with pytest.raises(UndefinedFlatness):
-            estimate_flatness(prior, self.model, 0.1, 50)
+            flatness_profile(prior, self.model, [0.1], 50)
 
     def test_inverse_wishart_linear_regime(self):
         prior = InverseWishartPrior(SpdMatrix(0.01 * np.eye(3)), b=4.0)
-        rho1 = estimate_flatness(prior, self.model, 1e-3, 400, seed=3)
-        rho2 = estimate_flatness(prior, self.model, 2e-3, 400, seed=3)
+        rho1 = flatness_profile(prior, self.model, [1e-3], 400, seed=3)[0]
+        rho2 = flatness_profile(prior, self.model, [2e-3], 400, seed=3)[0]
         assert 0 < rho1 < 0.1
         assert 1.5 <= rho2 / rho1 <= 2.5
 
@@ -250,7 +249,7 @@ class TestFlatness:
         # no probe bounds no deviation; it used to read as a perfectly flat prior
         prior = default_inverse_wishart_prior(3)
         with pytest.raises(ValueError):
-            estimate_flatness(prior, self.model, 0.1, probe_count)
+            flatness_profile(prior, self.model, [0.1], probe_count)
         with pytest.raises(ValueError):
             flatness_profile(prior, self.model, [0.1, 0.2], probe_count)
 

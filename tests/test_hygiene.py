@@ -5,6 +5,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -259,6 +260,60 @@ def test_mention_checker_finds_every_form():
         "except_ = ConfigError\n"
     )
     assert name_mentions(source, "ConfigError") == [1, 3, 4, 7]
+
+
+def readme_section(title: str) -> str:
+    """The text of README's ``## title`` section, up to the next ``## ``."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def unused_exports(init_source: str, module_sources, overview: str) -> list[str]:
+    """Each name that ``init_source`` re-exports from a package module and
+    that no module source mentions (``name_mentions``) and no backticked span
+    of the overview's prose names; fenced code blocks are not prose."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    prose = re.sub(r"^```.*?^```", "", overview, flags=re.M | re.S)
+    documented = {word for span in re.findall(r"`([^`]+)`", prose)
+                  for word in re.findall(r"\w+", span)}
+    return sorted(
+        name for name in exported
+        if name not in documented and not any(name_mentions(m, name) for m in module_sources)
+    )
+
+
+def test_export_checker_finds_unused_names():
+    init = (
+        "from .a import called, documented, unused as renamed, fenced\n"
+        "from numpy import outside\n"
+        "__version__ = '0'\n"
+    )
+    modules = ["def called():\n    pass\n", "import a\nx = a.called()\n"]
+    overview = "`documented(x, y)` and `covbvm.a`\n```python\nfenced()\n`fenced`\n```\n"
+    assert unused_exports(init, modules, overview) == ["fenced", "renamed"]
+
+
+def test_every_export_has_a_caller_or_is_documented():
+    # a re-exported name is either used by the package or one of the library
+    # entry points that README's overview names; anything else is dead weight
+    modules = [path.read_text() for path in PACKAGE_MODULES]
+    init = (ROOT / "src/covbvm/__init__.py").read_text()
+    assert unused_exports(init, modules, readme_section("Library overview")) == []
+
+
+def test_readme_minimal_session_runs(capsys):
+    overview = readme_section("Library overview")
+    session = re.search(r"A minimal session:\n\n```python\n(.*?)^```", overview, re.M | re.S)
+    exec(session.group(1), {})
+    # it prints the Kolmogorov distance of the trace statistic to N(0, 1)
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,11 @@ class TestSpdMatrix:
         with pytest.raises(NotPositiveDefinite):
             SpdMatrix(np.diag([1.0, 0.0]))
 
+    def test_rejects_empty(self):
+        # a 0 x 0 matrix has no smallest eigenvalue to check
+        with pytest.raises(NotPositiveDefinite, match=re.escape("shape (0, 0)")):
+            SpdMatrix(np.zeros((0, 0)))
+
     def test_sqrtm_roundtrip(self):
         m = random_spd(5, 0)
         half = m.sqrtm()
