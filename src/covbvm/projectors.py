@@ -6,9 +6,15 @@ The distance needs only each draw's selected eigenspace, and every posterior
 draw lies within O(n^-1/2) of the sample covariance.  So the sample
 covariance is decomposed once per stack of draws, and each draw's eigenspace
 is refined from it by an invariant-subspace (Riccati) iteration in that
-eigenbasis, a few small batched products per step.  A draw the iteration
-cannot resolve, because it did not converge or because its selected
-eigenvalues are not provably apart from the rest, goes to ``numpy.linalg.eigh``.
+eigenbasis, two small batched products per step.  Each draw stops once the
+squared Frobenius norm of its residual is below the square of a rounding-level
+bound, which costs one ``einsum`` pass over the residual and one over the
+iterate per step.  Each statistic allocates one workspace for a sub-block of
+draws, and every product of the refinement, the gathered matrices of the
+draws still iterating and the Gershgorin matrices are written into it, so a
+sub-block makes no (k, p, p) temporary.  A draw the iteration cannot resolve,
+because it did not converge or because its selected eigenvalues are not
+provably apart from the rest, goes to ``numpy.linalg.eigh``.
 
 The reference law's CDF needs ``scipy.special``'s ``gammaln`` and
 ``gammainc``; they are imported when a CDF is first evaluated, so the
@@ -75,8 +81,32 @@ def _eigh_distances(
     return values, int(np.sum(gaps < _DEGENERATE_GAP_FLOOR))
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    return np.einsum("kij,kij->k", x, x)
+
+
+class _RiccatiWorkspace:
+    """Buffers for refining a stack of up to ``count`` (p, p) matrices with m
+    selected columns, so that the products of a refinement make no
+    temporaries.  ``a`` holds A, and ``t`` the half-changed basis, then the A
+    of the draws still iterating, then B2; the (count, p, m) buffers hold
+    W = [I; Z], A W, [0; Z B1], the reciprocal denominators and the kept W."""
+
+    def __init__(self, count: int, p: int, m: int):
+        self.t, self.a = np.empty((count, p, p)), np.empty((count, p, p))
+        self.w, self.aw, self.zb1, self.recip, self.kept = (
+            np.empty((count, p, m)) for _ in range(5)
+        )
+        self.b1 = np.empty((count, m, m))
+
+
 def _riccati_distances(
-    mats: np.ndarray, basis: np.ndarray, m: int, above: int
+    mats: np.ndarray,
+    basis: np.ndarray,
+    m: int,
+    above: int,
+    work: _RiccatiWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """||V-hat_perp^T V||_F^2 for each matrix of a stack by refining the sample
     covariance's selected eigenspace into the matrix's own invariant subspace,
@@ -88,75 +118,107 @@ def _riccati_distances(
     of Z ((p - m) x m) spans an invariant subspace of A when
     F(Z) = A21 + A22 Z - Z A11 - Z A12 Z = 0 (Stewart 1973, SIAM Rev. 15:727;
     Demmel 1987, Computing 38:43).  From Z = 0, each step subtracts
-    F(Z)_ij / ((A22)_ii - (A11)_jj); the rate is about the off-diagonal
-    size of A over the eigenvalue gap.  The orthonormal columns
-    [I; Z](I + Z^T Z)^-1/2 span the subspace, so the value is
-    Tr(Z^T Z (I + Z^T Z)^-1), with no cancellation.
+    F(Z)_ij times 1 / ((A22)_ii - (A11)_jj); the rate is about the
+    off-diagonal size of A over the eigenvalue gap.  A step is two small
+    batched products: with W = [I; Z], A W = [B1; A21 + A22 Z] with
+    B1 = A11 + A12 Z, and F = A21 + A22 Z - Z B1.  Every elementwise update
+    runs over the whole contiguous (p, m) arrays, whose top rows leave W's
+    identity block as it is.  The orthonormal columns W (I + Z^T Z)^-1/2 span
+    the subspace, so the value is Tr(Z^T Z (I + Z^T Z)^-1), with no
+    cancellation.
 
-    A value is kept only when its draw's residual reached rounding level
-    within ``_MAX_REFINE_STEPS`` steps and the Gershgorin discs of
+    A draw stops once ||F||_F <= p ``_REFINE_TOL`` (||A21||_F +
+    max_i A_ii ||Z||_F), compared in squares, one ``einsum`` pass over F and
+    one over Z: A is SPD, so its largest diagonal entry bounds every entry,
+    the terms of F are of size |A21| and |A| |Z|, and sums of p of them round
+    at p eps.  A bound whose square overflows, as a diverging Z's does or
+    that of a matrix with entries above about 1e154, is never met, so an
+    overflowed residual cannot meet it and the draw goes to eigh.  A value
+    is kept only when its draw's residual reached that level within
+    ``_MAX_REFINE_STEPS`` steps and the Gershgorin discs of
     blockdiag(A11 + A12 Z, A22 - Z A12), whose eigenvalues are A's, split into
     the groups above, selected and below, in that order, with every gap at
-    least ``_DEGENERATE_GAP_FLOOR``.  Then the subspace is the one at the
-    selected positions of the matrix's own spectrum, and the matrix is not
-    near-degenerate; the residual left in the off-diagonal block and the
-    rounding of the discs are a few eps |A|, far below that floor.  Each draw
-    stops on its own residual and keeps its Z from then on, so its value does
-    not depend on the other matrices of the stack.  Converged draws leave the
-    iteration once at least half of the draws still in it have converged: the
-    rest are gathered and continue alone, so one slow draw does not keep its
-    whole stack iterating.
+    least ``_DEGENERATE_GAP_FLOOR``.  Then the subspace is the
+    one at the selected positions of the matrix's own spectrum, and the
+    matrix is not near-degenerate; the residual left in the off-diagonal
+    block and the rounding of the discs are a few eps |A|, far below that
+    floor.  Each draw stops on its own residual and keeps its Z from then on,
+    so its value does not depend on the other matrices of the stack.
+    Converged draws leave the iteration once at least half of the draws
+    still in it have converged: the rest are gathered and continue alone, so
+    one slow draw does not keep its whole stack iterating.
+
+    Every product, the gathered A of the draws still iterating and B2 are
+    written into ``work``, a ``_RiccatiWorkspace`` for at least len(mats)
+    matrices.
     """
     k, p, _ = mats.shape
-    a = np.matmul(basis.T, mats @ basis)
-    a11, a12, a21 = a[:, :m, :m].copy(), a[:, :m, m:].copy(), a[:, m:, :m].copy()
-    a22 = a[:, m:, m:]
+    q = p - m
+    a = np.matmul(basis.T, np.matmul(mats, basis, out=work.t[:k]), out=work.a[:k])
     diag = np.diagonal(a, axis1=1, axis2=2)
-    denom = diag[:, m:, None] - diag[:, None, :m]
-    # A is SPD, so its largest diagonal entry bounds every entry; the terms of
-    # F are of size |A21| and |A| |Z|, and sums of p of them round at p eps
     scale = np.max(diag, axis=1)
-    a21_size = np.max(np.abs(a21), axis=(1, 2), initial=0.0)
-    z = np.zeros((k, p - m, m))
-    kept = np.zeros_like(z)
+    a21_norm = np.sqrt(_sq_norms(a[:, m:, :m]))
+    # W = [I; Z] and the kept W; the top rows of [0; Z B1] and of the
+    # reciprocal denominators are 0, so whole-array updates keep W's identity
+    w, kept_w, zb1, recip = work.w[:k], work.kept[:k], work.zb1[:k], work.recip[:k]
+    for x, top in ((w, np.eye(m)), (kept_w, np.eye(m)), (zb1, 0.0)):
+        x[:, :m], x[:, m:] = top, 0.0
+    kept = kept_w[:, m:]
     converged = np.zeros(k, dtype=bool)
-    # the draws still iterating: their rows of the stack and their blocks
+    # the draws still iterating: their rows of the stack, their A, W and
+    # reciprocal denominators, and the parts of their stopping bound
     rows = np.arange(k)
-    live = (a11, a12, a21, a22, denom, scale, a21_size)
+    live, l_scale, l_a21_norm = a, scale, a21_norm
+    tol_factor = _REFINE_TOL * p
     # identity-like draws give zero denominators and non-finite steps, which
     # never pass the residual test
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.subtract(diag[:, :, None], diag[:, None, :m], out=recip)
+        np.reciprocal(recip, out=recip)
+        recip[:, :m] = 0.0
         for _ in range(_MAX_REFINE_STEPS):
-            l11, l12, l21, l22, l_denom, l_scale, l_a21_size = live
-            f = l22 @ z
-            f += l21
-            f -= z @ (l11 + l12 @ z)
-            residual = np.max(np.abs(f), axis=(1, 2), initial=0.0)
-            z_size = np.max(np.abs(z), axis=(1, 2), initial=0.0)
-            tol = _REFINE_TOL * p * (l_a21_size + l_scale * z_size)
-            done = residual <= tol
-            f /= l_denom
-            z -= f
+            n = len(rows)
+            z = w[:, m:]
+            # A W = [B1; A21 + A22 Z], less [0; Z B1], is [B1; F]
+            aw = np.matmul(live, w, out=work.aw[:n])
+            np.matmul(z, aw[:, :m], out=zb1[:n, m:])
+            aw -= zb1[:n]
+            f = aw[:, m:]
+            tol2 = np.square(tol_factor * (l_a21_norm + l_scale * np.sqrt(_sq_norms(z))))
+            # an inf squared residual would meet an inf squared bound
+            done = (_sq_norms(f) <= tol2) & (tol2 < np.inf)
+            # [B1; F] times [0; 1 / denom] is [0; F / denom], but for a B1 that
+            # is not finite, whose draw cannot converge
+            aw *= recip
+            w -= aw
             # a draw keeps its Z from the step where it first converges; the
-            # live arrays are gathered only once half of them have, since each
-            # gather copies seven arrays and most draws converge together
+            # draws still iterating are gathered only once half of them have,
+            # since most draws converge together
             first = done & ~converged[rows]
             if first.any():
-                kept[rows[first]] = z[first]
+                kept_w[rows[first]] = w[first]
                 converged[rows[first]] = True
                 going = ~converged[rows]
                 if not going.any():
                     break
-                if 2 * going.sum() <= len(rows):
-                    rows, z = rows[going], z[going]
-                    live = tuple(x[going] for x in live)
-        b1 = a11 + a12 @ kept
-        b2 = a22 - kept @ a12
+                if 2 * going.sum() <= n:
+                    rows = rows[going]
+                    w, recip = w[going], recip[going]
+                    l_scale, l_a21_norm = l_scale[going], l_a21_norm[going]
+                    # the rows are in range; the default mode buffers out
+                    live = np.take(a, rows, axis=0, out=work.t[: len(rows)], mode="clip")
+        b1 = np.matmul(a[:, :m], kept_w, out=work.b1[:k])
+        # B2 = A22 - Z A12 goes into the spent basis-change buffer, and |B2|
+        # over it
+        b2 = work.t.reshape(-1)[: k * q * q].reshape(k, q, q)
+        np.subtract(a[:, m:, m:], np.matmul(kept, a[:, :m, m:], out=b2), out=b2)
         # Gershgorin intervals: the eigenvalues are real
         centre1 = np.diagonal(b1, axis1=1, axis2=2)
         radius1 = np.sum(np.abs(b1), axis=2) - np.abs(centre1)
-        centre2 = np.diagonal(b2, axis1=1, axis2=2)
-        radius2 = np.sum(np.abs(b2), axis=2) - np.abs(centre2)
+        centre2 = np.diagonal(b2, axis1=1, axis2=2).copy()
+        abs_b2 = np.abs(b2, out=b2)
+        radius2 = (abs_b2.reshape(k * q, q) @ np.ones(q)).reshape(k, q)
+        radius2 -= np.diagonal(abs_b2, axis1=1, axis2=2)
         bound = np.full(k, np.inf)
         if above > 0:
             bound = np.minimum(
@@ -164,7 +226,7 @@ def _riccati_distances(
                 np.min(centre2[:, :above] - radius2[:, :above], axis=1)
                 - np.max(centre1 + radius1, axis=1),
             )
-        if above < p - m:
+        if above < q:
             bound = np.minimum(
                 bound,
                 np.min(centre1 - radius1, axis=1)
@@ -183,7 +245,9 @@ def projector_distances(
     covariance's, over the true index sets; the number of matrices whose own
     spectral gap at the selection boundary falls below 1e-6; and the number
     of matrices whose distance came from a full eigendecomposition.  The
-    index set and the sample covariance's eigenbasis are made once, here.
+    index set, the sample covariance's eigenbasis and the refinement's
+    workspace are made once, here, so the function must not run in two
+    threads at once.
 
     With V (p, m) the orthonormal eigenvector columns of a matrix, and V-hat
     and V-hat_perp the selected and the remaining eigenvector columns of the
@@ -206,6 +270,7 @@ def projector_distances(
     hat_perp = np.delete(vecs, index_set, axis=1)
     basis = np.concatenate([vecs[:, index_set], hat_perp], axis=1)
     sub = sub_block_size(p)
+    work = _RiccatiWorkspace(sub, p, m)
 
     def distances(mats: np.ndarray) -> tuple[np.ndarray, int, int]:
         values = np.empty(len(mats))
@@ -213,7 +278,7 @@ def projector_distances(
         for start in range(0, len(mats), sub):
             part = slice(start, start + sub)
             values[part], kept[part] = _riccati_distances(
-                mats[part], basis, m, int(index_set[0])
+                mats[part], basis, m, int(index_set[0]), work
             )
         fallback = np.flatnonzero(~kept)
         near_degenerate = 0
